@@ -1,8 +1,7 @@
-(* Tests for the discrete-event simulation substrate: RNG, heap,
-   engine, distributions, statistics, time. *)
+(* Tests for the discrete-event simulation substrate: RNG, engine,
+   distributions, statistics, time. *)
 
 module Rng = Dessim.Rng
-module Heap = Dessim.Heap
 module Engine = Dessim.Engine
 module Dist = Dessim.Dist
 module Stats = Dessim.Stats
@@ -102,211 +101,10 @@ let test_rng_invalid () =
   Alcotest.check_raises "empty choose" (Invalid_argument "Rng.choose: empty array")
     (fun () -> ignore (Rng.choose rng [||]))
 
-(* --- Heap --- *)
-
-let test_heap_ordering () =
-  let h = Heap.create () in
-  let rng = Rng.create 10 in
-  let keys = List.init 1000 (fun _ -> Rng.int rng 10_000) in
-  List.iter (fun k -> Heap.push h k k) keys;
-  let out = ref [] in
-  while not (Heap.is_empty h) do
-    let k, _ = Heap.pop h in
-    out := k :: !out
-  done;
-  check
-    (Alcotest.list Alcotest.int)
-    "sorted ascending"
-    (List.sort compare keys)
-    (List.rev !out)
-
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  Heap.push h 5 "a";
-  Heap.push h 5 "b";
-  Heap.push h 5 "c";
-  let _, x = Heap.pop h in
-  let _, y = Heap.pop h in
-  let _, z = Heap.pop h in
-  check (Alcotest.list Alcotest.string) "insertion order among ties"
-    [ "a"; "b"; "c" ] [ x; y; z ]
-
-let test_heap_empty () =
-  let h = Heap.create () in
-  checkb "is_empty" true (Heap.is_empty h);
-  Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Heap.pop h));
-  Alcotest.check_raises "peek empty" Not_found (fun () ->
-      ignore (Heap.peek_key h))
-
-let test_heap_interleaved () =
-  let h = Heap.create () in
-  Heap.push h 3 3;
-  Heap.push h 1 1;
-  checki "peek min" 1 (Heap.peek_key h);
-  let k1, _ = Heap.pop h in
-  checki "pop 1" 1 k1;
-  Heap.push h 2 2;
-  let k2, _ = Heap.pop h in
-  checki "pop 2" 2 k2;
-  let k3, _ = Heap.pop h in
-  checki "pop 3" 3 k3
-
-let test_heap_clear_resets_ties () =
-  let h = Heap.create () in
-  Heap.push h 5 "x";
-  Heap.push h 5 "y";
-  Heap.clear h;
-  checkb "cleared" true (Heap.is_empty h);
-  (* clear resets the insertion-order counter, so FIFO tie-breaking
-     after a clear matches a freshly created heap exactly. *)
-  Heap.push h 7 "a";
-  Heap.push h 7 "b";
-  Heap.push h 7 "c";
-  let _, x = Heap.pop h in
-  let _, y = Heap.pop h in
-  let _, z = Heap.pop h in
-  check (Alcotest.list Alcotest.string) "FIFO order restarts"
-    [ "a"; "b"; "c" ] [ x; y; z ]
-
-let test_heap_reserve () =
-  (* reserve on an empty heap: pushes up to the hint must not shrink
-     behaviour; contents stay sorted. *)
-  let h = Heap.create () in
-  Heap.reserve h 512;
-  for i = 511 downto 0 do
-    Heap.push h i i
-  done;
-  checki "size after pushes" 512 (Heap.length h);
-  for i = 0 to 511 do
-    let k, _ = Heap.pop h in
-    checki "sorted" i k
-  done;
-  (* reserve on a non-empty heap keeps existing elements. *)
-  let h2 = Heap.create () in
-  Heap.push h2 2 "b";
-  Heap.push h2 1 "a";
-  Heap.reserve h2 1024;
-  let _, a = Heap.pop h2 in
-  let _, b = Heap.pop h2 in
-  check (Alcotest.list Alcotest.string) "survives reserve" [ "a"; "b" ] [ a; b ]
-
-let heap_qcheck =
-  QCheck.Test.make ~name:"heap pops sorted" ~count:200
-    QCheck.(list (int_bound 100_000))
-    (fun keys ->
-      let h = Heap.create () in
-      List.iter (fun k -> Heap.push h k ()) keys;
-      let rec drain acc =
-        if Heap.is_empty h then List.rev acc
-        else
-          let k, () = Heap.pop h in
-          drain (k :: acc)
-      in
-      drain [] = List.sort compare keys)
-
-(* Pops must equal a *stable* sort by key: payloads tag each push with
-   its position, so any tie broken out of insertion order shows up as a
-   payload mismatch even though the key sequence looks fine. *)
-let heap_qcheck_stable =
-  QCheck.Test.make ~name:"heap pop order = stable sort by key" ~count:200
-    QCheck.(list (int_bound 50))
-    (fun keys ->
-      let h = Heap.create () in
-      List.iteri (fun i k -> Heap.push h k i) keys;
-      let rec drain acc =
-        if Heap.is_empty h then List.rev acc
-        else
-          let kv = Heap.pop h in
-          drain (kv :: acc)
-      in
-      let expected =
-        List.stable_sort
-          (fun (k1, _) (k2, _) -> compare k1 k2)
-          (List.mapi (fun i k -> (k, i)) keys)
-      in
-      drain [] = expected)
-
-let heap_qcheck_fifo_ties =
-  QCheck.Test.make ~name:"heap FIFO among equal keys" ~count:200
-    QCheck.(pair (int_bound 1000) small_nat)
-    (fun (key, n) ->
-      let h = Heap.create () in
-      for i = 0 to n - 1 do
-        Heap.push h key i
-      done;
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        let k, v = Heap.pop h in
-        if k <> key || v <> i then ok := false
-      done;
-      !ok && Heap.is_empty h)
-
-(* Model-checked interleaving: run a random sequence of
-   push/pop/reserve/clear against a sorted-list reference queue with
-   the same (key, insertion seq) order. [reserve] must never change
-   observable behaviour; [clear] must reset both contents and the
-   FIFO tie counter. *)
-let heap_qcheck_interleaved =
-  let op =
-    QCheck.(
-      oneof
-        [
-          map (fun k -> `Push k) (int_bound 20);
-          always `Pop;
-          map (fun n -> `Reserve n) (int_bound 64);
-          (* clear is rare so runs usually accumulate state *)
-          frequency [ (1, always `Clear); (6, always `Pop) ];
-        ])
-  in
-  QCheck.Test.make ~name:"heap interleaved push/pop/reserve/clear" ~count:300
-    (QCheck.list op)
-    (fun ops ->
-      let h = Heap.create () in
-      (* model: sorted (key, seq) list + next insertion seq *)
-      let model = ref [] and next = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun o ->
-          match o with
-          | `Push k ->
-              Heap.push h k !next;
-              let seq = !next in
-              incr next;
-              model :=
-                List.stable_sort
-                  (fun (k1, s1) (k2, s2) -> compare (k1, s1) (k2, s2))
-                  ((k, seq) :: !model)
-          | `Pop -> (
-              match (!model, Heap.is_empty h) with
-              | [], true -> ()
-              | [], false -> ok := false
-              | (mk, ms) :: rest, _ ->
-                  (match Heap.pop h with
-                  | k, v -> if k <> mk || v <> ms then ok := false
-                  | exception Not_found -> ok := false);
-                  model := rest)
-          | `Reserve n -> Heap.reserve h n
-          | `Clear ->
-              Heap.clear h;
-              model := [];
-              next := 0)
-        ops;
-      (* drain the tail: remaining contents must match the model *)
-      List.iter
-        (fun (mk, ms) ->
-          match Heap.pop h with
-          | k, v -> if k <> mk || v <> ms then ok := false
-          | exception Not_found -> ok := false)
-        !model;
-      !ok && Heap.is_empty h)
-
 (* --- Engine --- *)
 
-(* Every engine test runs on both scheduler backends: the heap is the
-   reference oracle, the calendar wheel must be indistinguishable. *)
-
-let test_engine_order sched () =
-  let eng = Engine.create ~sched () in
+let test_engine_order () =
+  let eng = Engine.create () in
   let log = ref [] in
   Engine.schedule eng ~at:30 (fun () -> log := 30 :: !log);
   Engine.schedule eng ~at:10 (fun () -> log := 10 :: !log);
@@ -316,8 +114,8 @@ let test_engine_order sched () =
     (List.rev !log);
   checki "clock at last event" 30 (Engine.now eng)
 
-let test_engine_nested_scheduling sched () =
-  let eng = Engine.create ~sched () in
+let test_engine_nested_scheduling () =
+  let eng = Engine.create () in
   let log = ref [] in
   Engine.schedule eng ~at:10 (fun () ->
       log := `A :: !log;
@@ -326,15 +124,15 @@ let test_engine_nested_scheduling sched () =
   Engine.run eng;
   checkb "nested event runs in order" true (List.rev !log = [ `A; `C; `B ])
 
-let test_engine_past_rejected sched () =
-  let eng = Engine.create ~sched () in
+let test_engine_past_rejected () =
+  let eng = Engine.create () in
   Engine.schedule eng ~at:10 (fun () ->
       Alcotest.check_raises "past" (Invalid_argument "Engine.schedule: event in the past")
         (fun () -> Engine.schedule eng ~at:5 (fun () -> ())));
   Engine.run eng
 
-let test_engine_run_until sched () =
-  let eng = Engine.create ~sched () in
+let test_engine_run_until () =
+  let eng = Engine.create () in
   let log = ref [] in
   List.iter
     (fun t -> Engine.schedule eng ~at:t (fun () -> log := t :: !log))
@@ -348,35 +146,71 @@ let test_engine_run_until sched () =
   checki "drained" 0 (Engine.pending eng);
   checki "executed total" 4 (Engine.executed eng)
 
-(* Differential test: drive both backends through the same random
-   schedule and require byte-identical traces. The delay table is
-   chosen to hit every wheel path — 0-delay FIFO ties, sub-quantum
-   deltas that land in the current batch (the side heap), in-window
-   deltas across bucket boundaries, and multi-ms deltas far beyond the
-   wheel window (the overflow heap and its lazy demotion). Handler
-   respawns exercise mid-drain enqueues; thunk ops interleave the
-   closure lane with typed events; draining happens through several
-   run_until windows before the final run, exercising parking and
-   clock-advance-to-limit on a non-empty queue. *)
-let engine_differential =
+(* Engine memory tracks the peak number of pending events, not the
+   number of distinct times ever used: 64 bursts of [n] events, each
+   packed into its own ~16 us slot and drained before the next, must
+   leave the engine holding about one burst's worth of 5-word event
+   records. *)
+let test_engine_memory_tracks_pending () =
+  let n = 8192 in
+  let eng = Engine.create () in
+  let count = ref 0 in
+  Engine.set_handler eng (fun ~code:_ ~a:_ ~b:_ -> incr count);
+  for burst = 0 to 63 do
+    let base = burst * 16_384 in
+    for i = 0 to n - 1 do
+      Engine.schedule_event eng ~at:(base + (i land 16_383)) ~code:0 ~a:i ~b:0
+    done;
+    Engine.run eng
+  done;
+  checki "every event executed" (64 * n) !count;
+  let words = Obj.reachable_words (Obj.repr eng) in
+  checkb
+    (Printf.sprintf "%d reachable words <= 2 * n * 5" words)
+    true
+    (words <= 2 * n * 5)
+
+(* Model-checked event order: drive the engine through a random
+   schedule and compare its trace with a reference model, an ordered
+   map keyed by (time, scheduling order) — the order a stable sort by
+   time of the events in scheduling order gives. The schedules mix
+   0-delay FIFO ties, sub-microsecond and multi-millisecond delays;
+   handler respawns enqueue mid-drain at or just after the current
+   time; thunk ops interleave the closure lane with typed events;
+   draining happens through several run_until windows before the
+   final run, exercising parking and clock-advance-to-limit on a
+   non-empty queue. *)
+type model_ev = Typed of { code : int; a : int; gen : int } | Thunk of int
+
+module Order = Map.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+let engine_model =
   let delays =
     [|
       0; 1; 3; 12; 900; 1_024; 16_383; 16_384; 65_537; 1_000_000; 5_000_000;
       12_345_678;
     |]
   in
-  QCheck.Test.make ~name:"engine wheel trace = heap trace" ~count:150
+  let windows eng_now run_until =
+    for _ = 1 to 3 do
+      run_until ~limit:(Time_ns.add (eng_now ()) 100_000)
+    done
+  in
+  QCheck.Test.make ~name:"engine trace = (time, seq) model" ~count:150
     QCheck.(list (triple (int_bound (Array.length delays - 1)) (int_bound 3) small_nat))
     (fun ops ->
-      let run sched =
-        let eng = Engine.create ~sched () in
+      let engine_trace () =
+        let eng = Engine.create () in
         let b = Buffer.create 1024 in
         let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
         Engine.set_handler eng (fun ~code ~a ~b:gen ->
             addf "e t=%d c=%d a=%d\n" (Engine.now eng) code a;
             (* First-generation events respawn once from inside the
-               handler: delay [a land 15] keeps most respawns inside
-               the batch being drained. *)
+               handler. *)
             if gen = 0 then
               Engine.schedule_event_after eng ~delay:(a land 15) ~code ~a ~b:1);
         List.iter
@@ -388,16 +222,54 @@ let engine_differential =
                   Engine.schedule_event_after eng ~delay:0 ~code:9 ~a ~b:1)
             else Engine.schedule_event_after eng ~delay ~code ~a ~b:0)
           ops;
-        for _ = 1 to 3 do
-          Engine.run_until eng
-            ~limit:(Time_ns.add (Engine.now eng) 100_000)
-        done;
+        windows (fun () -> Engine.now eng) (Engine.run_until eng);
         Engine.run eng;
         addf "now=%d executed=%d pending=%d\n" (Engine.now eng)
           (Engine.executed eng) (Engine.pending eng);
         Buffer.contents b
       in
-      String.equal (run Engine.Heap) (run Engine.Wheel))
+      let model_trace () =
+        let b = Buffer.create 1024 in
+        let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+        let pending = ref Order.empty and seq = ref 0 in
+        let clock = ref 0 and executed = ref 0 in
+        let schedule ~delay ev =
+          pending := Order.add (!clock + delay, !seq) ev !pending;
+          incr seq
+        in
+        let rec drain ~limit =
+          match Order.min_binding_opt !pending with
+          | Some (((at, _) as key), ev) when at <= limit ->
+              pending := Order.remove key !pending;
+              clock := at;
+              incr executed;
+              (match ev with
+              | Typed { code; a; gen } ->
+                  addf "e t=%d c=%d a=%d\n" at code a;
+                  if gen = 0 then
+                    schedule ~delay:(a land 15) (Typed { code; a; gen = 1 })
+              | Thunk a ->
+                  addf "f t=%d a=%d\n" at a;
+                  schedule ~delay:0 (Typed { code = 9; a; gen = 1 }));
+              drain ~limit
+          | _ -> ()
+        in
+        let run_until ~limit =
+          drain ~limit;
+          clock := max !clock limit
+        in
+        List.iter
+          (fun (d, code, a) ->
+            schedule ~delay:delays.(d)
+              (if code = 3 then Thunk a else Typed { code; a; gen = 0 }))
+          ops;
+        windows (fun () -> !clock) run_until;
+        drain ~limit:max_int;
+        addf "now=%d executed=%d pending=%d\n" !clock !executed
+          (Order.cardinal !pending);
+        Buffer.contents b
+      in
+      String.equal (engine_trace ()) (model_trace ()))
 
 (* --- Distributions --- *)
 
@@ -541,37 +413,20 @@ let () =
           Alcotest.test_case "invalid arguments" `Quick test_rng_invalid;
           Alcotest.test_case "copy continues stream" `Quick test_rng_copy_divergence;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "FIFO among ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "empty behavior" `Quick test_heap_empty;
-          Alcotest.test_case "interleaved push/pop" `Quick test_heap_interleaved;
-          Alcotest.test_case "clear resets tie order" `Quick
-            test_heap_clear_resets_ties;
-          Alcotest.test_case "reserve" `Quick test_heap_reserve;
-          QCheck_alcotest.to_alcotest heap_qcheck;
-          QCheck_alcotest.to_alcotest heap_qcheck_stable;
-          QCheck_alcotest.to_alcotest heap_qcheck_fifo_ties;
-          QCheck_alcotest.to_alcotest heap_qcheck_interleaved;
-        ] );
       ( "engine",
-        (List.concat_map
-           (fun sched ->
-             let s = Engine.sched_name sched in
-             List.map
-               (fun (name, f) ->
-                 Alcotest.test_case
-                   (Printf.sprintf "%s (%s)" name s)
-                   `Quick (f sched))
-               [
-                 ("event order", test_engine_order);
-                 ("nested scheduling", test_engine_nested_scheduling);
-                 ("past events rejected", test_engine_past_rejected);
-                 ("run_until", test_engine_run_until);
-               ])
-           [ Engine.Heap; Engine.Wheel ])
-        @ [ QCheck_alcotest.to_alcotest engine_differential ] );
+        List.map
+          (fun (name, f) -> Alcotest.test_case (name ^ " (heap)") `Quick f)
+          [
+            ("event order", test_engine_order);
+            ("nested scheduling", test_engine_nested_scheduling);
+            ("past events rejected", test_engine_past_rejected);
+            ("run_until", test_engine_run_until);
+          ]
+        @ [
+            Alcotest.test_case "memory tracks peak pending" `Quick
+              test_engine_memory_tracks_pending;
+            QCheck_alcotest.to_alcotest engine_model;
+          ] );
       ( "dist",
         [
           Alcotest.test_case "exponential mean" `Quick test_exponential_mean;

@@ -412,6 +412,36 @@ let par_speedup_floor () =
   | Some s -> Some (float_of_string s)
   | None -> None
 
+(* The rows of [path]'s "trajectory" array, verbatim: each eventcore
+   run appends one row to them instead of discarding the record. *)
+let eventcore_trajectory path =
+  match open_in path with
+  | exception Sys_error _ -> []
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let rec skip () =
+            match input_line ic with
+            | exception End_of_file -> []
+            | l when String.trim l = "\"trajectory\": [" -> rows []
+            | _ -> skip ()
+          and rows acc =
+            match input_line ic with
+            | exception End_of_file -> List.rev acc
+            | l -> (
+                match String.trim l with
+                | "]" | "]," -> List.rev acc
+                | r ->
+                    let r =
+                      if String.ends_with ~suffix:"," r then
+                        String.sub r 0 (String.length r - 1)
+                      else r
+                    in
+                    rows (r :: acc))
+          in
+          skip ())
+
 let eventcore () =
   let events, eps, wpe = eventcore_measure () in
   Printf.printf
@@ -449,6 +479,15 @@ let eventcore () =
         (fun (n, (_, eps, _, _)) ->
           (Printf.sprintf "sharded_%d_events_per_sec" n, eps))
         sharded;
+  let trajectory =
+    eventcore_trajectory "BENCH_eventcore.json"
+    @ [
+        Printf.sprintf
+          "{\"git_rev\": \"%s\", \"events\": %d, \"events_per_sec\": %.6g, \
+           \"words_per_event\": %.3f, \"cores\": %d}"
+          (Experiments.Report.git_rev ()) events eps wpe cores;
+      ]
+  in
   (let oc = open_out "BENCH_eventcore.json" in
    Fun.protect
      ~finally:(fun () -> close_out oc)
@@ -465,11 +504,14 @@ let eventcore () =
        in
        Printf.fprintf oc
          "{\n\
-         \  \"schema\": \"bench_eventcore/v3\",\n\
+         \  \"schema\": \"bench_eventcore/v4\",\n\
          \  \"workload\": \"32-packet cross-pod UDP flows, Direct scheme, 2-pod \
           FatTree\",\n\
          \  \"engine\": {\"events\": %d, \"events_per_sec\": %.6g, \
           \"words_per_event\": %.3f},\n\
+         \  \"trajectory\": [\n\
+          %s\n\
+         \  ],\n\
          \  \"cores\": %d,\n\
          \  \"sharded\": {\n\
          \    \"workload\": \"512 x 128-packet cross-pod UDP flows, Direct \
@@ -481,7 +523,9 @@ let eventcore () =
          \    ]\n\
          \  }\n\
           }\n"
-         events eps wpe cores shard_json);
+         events eps wpe
+         (String.concat ",\n" (List.map (fun r -> "    " ^ r) trajectory))
+         cores shard_json);
    Printf.printf "[eventcore report written to BENCH_eventcore.json]\n%!");
   let ceiling = words_per_event_ceiling () in
   if wpe > ceiling then begin
@@ -814,21 +858,10 @@ let micro () =
       (Topo.Params.scaled ~pods:8 ~racks_per_pod:4 ~hosts_per_rack:2
          ~vms_per_host:2 ())
   in
-  let ecmp =
-    let t = routing_topo in
-    let hosts = Topo.Topology.hosts t in
-    let i = ref 0 in
-    ( "ecmp full path",
-      fun () ->
-        incr i;
-        let src = hosts.(!i mod Array.length hosts) in
-        let dst = hosts.(((!i * 7) + 13) mod Array.length hosts) in
-        if src <> dst then ignore (Topo.Routing.path t ~src ~dst ~salt:!i) )
-  in
   (* The forwarding hot path proper: a spine picking the ECMP core
-     toward a host in another pod — the one case where the oracle
-     allocates its candidate array. The table-based path must show
-     0 w/op here. *)
+     toward a host in another pod. [next_link] is what a packet hop
+     calls; [next_hop] adds the link's [dst] read. Both must show
+     0 w/op. *)
   let next_hop_pairs =
     let t = routing_topo in
     let spines = Topo.Topology.spines t in
@@ -859,14 +892,14 @@ let micro () =
         let at, dst = next_hop_pairs.(!i land 1023) in
         ignore (Topo.Routing.next_hop t ~at ~dst ~salt:!i) )
   in
-  let next_hop_oracle =
+  let next_link_table =
     let t = routing_topo in
     let i = ref 0 in
-    ( "next_hop (oracle)",
+    ( "next_link (table)",
       fun () ->
         incr i;
         let at, dst = next_hop_pairs.(!i land 1023) in
-        ignore (Topo.Routing.next_hop_oracle t ~at ~dst ~salt:!i) )
+        ignore (Topo.Routing.next_link t ~at ~dst ~salt:!i) )
   in
   (* End-to-end per-packet cost: one single-packet UDP flow through the
      full simulator (transport, links, engine, metrics) with the Direct
@@ -909,8 +942,8 @@ let micro () =
   in
   let benches =
     [
-      cache_lookup; cache_insert; ecmp; next_hop_table;
-      next_hop_oracle; e2e; rng_bench;
+      cache_lookup; cache_insert; next_hop_table; next_link_table; e2e;
+      rng_bench;
     ]
   in
   let tests =

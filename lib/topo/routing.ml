@@ -10,173 +10,109 @@ let ecmp_hash ~salt ~a ~b =
   let z = z lxor (z lsr 31) in
   z land max_int
 
-let pick ~salt ~at ~dst (arr : int array) =
-  arr.(ecmp_hash ~salt ~a:(at + dst) ~b:dst mod Array.length arr)
+(* Link-indexed forwarding: one body serves both variants. The hop is
+   resolved from the packed coordinates of [at] and [dst] and read out
+   of a [Topology.fwd] link-id table — no CSR search, no [Node.kind]
+   match, no allocation. [next_hop_oracle] below is the coordinate-
+   computed reference the tables are property-tested against.
 
-(* Table-based fast path: upward candidate sets (ToR -> pod spines,
-   spine -> group cores) are precomputed by [Topology.build] as
-   [Topology.uplinks], so every case below is pure array indexing —
-   zero allocation per call. [next_hop_oracle] below is the original
-   coordinate-computed implementation, kept as the reference the fast
-   path is property-tested against. *)
-let next_hop topo ~at ~dst ~salt =
-  if at = dst then invalid_arg "Routing.next_hop: already at destination";
-  let dst_kind = Topology.kind topo dst in
-  match Topology.kind topo at with
-  | Node.Host _ | Node.Gateway _ -> Topology.tor_of topo at
-  | Node.Tor { pod; _ } -> (
-      (* Deliver to an attached endpoint, else pick an uplink spine. *)
-      match dst_kind with
-      | Node.Host { pod = dp; _ } | Node.Gateway { pod = dp; _ }
-        when dp = pod && Topology.tor_of topo dst = at ->
-          dst
-      | Node.Spine { pod = dp; group; _ } when dp = pod ->
-          (Topology.uplinks topo at).(group)
-      | Node.Core { group; _ } ->
-          (* Cores of group [g] are reachable only via spine [g]. *)
-          (Topology.uplinks topo at).(group)
-      | Node.Spine { group; _ } ->
-          (* A spine in another pod: transit a core of the same group. *)
-          (Topology.uplinks topo at).(group)
-      | Node.Host _ | Node.Gateway _ | Node.Tor _ ->
-          (* Any spine of this pod reaches any pod. *)
-          let ups = Topology.uplinks topo at in
-          ups.(ecmp_hash ~salt ~a:at ~b:dst mod Array.length ups))
-  | Node.Spine { pod; group; _ } -> (
-      let down_in_pod dp dst =
-        match dst with
-        | Node.Host { rack; _ } | Node.Gateway { rack; _ } ->
-            Topology.tor_id topo ~pod:dp ~rack
-        | Node.Tor { rack; _ } -> Topology.tor_id topo ~pod:dp ~rack
-        | Node.Spine _ | Node.Core _ -> assert false
-      in
-      match dst_kind with
-      | (Node.Host { pod = dp; _ } | Node.Gateway { pod = dp; _ } | Node.Tor { pod = dp; _ })
-        when dp = pod ->
-          down_in_pod pod dst_kind
-      | Node.Core { group = g; idx } when g = group ->
-          (Topology.uplinks topo at).(idx)
-      | Node.Core _ ->
-          (* Wrong group: descend to a local ToR which re-ascends via
-             the right group. Only possible for switch-addressed
-             control packets that entered the fabric on the wrong
-             group; one bounce corrects it. *)
-          let racks = (Topology.params topo).Params.racks_per_pod in
-          let rack = ecmp_hash ~salt ~a:at ~b:dst mod racks in
-          Topology.tor_id topo ~pod ~rack
-      | Node.Spine { group = g; _ } when g <> group ->
-          let racks = (Topology.params topo).Params.racks_per_pod in
-          let rack = ecmp_hash ~salt ~a:at ~b:dst mod racks in
-          Topology.tor_id topo ~pod ~rack
-      | Node.Host _ | Node.Gateway _ | Node.Tor _ | Node.Spine _ ->
-          (* Another pod, same group (or endpoint): transit any core of
-             this group. *)
-          let cores = Topology.uplinks topo at in
-          if Array.length cores = 0 then
-            invalid_arg "Routing.next_hop: destination unreachable (no cores)"
-          else pick ~salt ~at ~dst cores)
-  | Node.Core { group; _ } -> (
-      match dst_kind with
-      | Node.Host { pod; _ } | Node.Gateway { pod; _ } | Node.Tor { pod; _ } ->
-          Topology.spine_id topo ~pod ~group
-      | Node.Spine { pod; group = g; _ } ->
-          if g = group then Topology.spine_id topo ~pod ~group
-          else
-            (* Wrong group; descend anywhere in the target pod's group-
-               [group] spine, which bounces via a ToR. *)
-            Topology.spine_id topo ~pod ~group
-      | Node.Core _ ->
-          invalid_arg "Routing.next_hop: core-to-core packets are not routable")
-
-(* Fault-aware variant of [next_hop]: same case analysis and same
-   primary ECMP hash, but each candidate hop is checked against
-   [Link.up] and, where ECMP siblings exist, dead candidates are
-   skipped by probing the candidate ring from the hashed index. With
-   every link up this is hop-for-hop identical to [next_hop] (the ring
-   probe stops at its first candidate), which is property-tested, so
-   goldens are unaffected by compiling the fault layer in. Forced hops
-   (unique next hop) return [blackhole] when their link is down. *)
+   With [alive], a forced hop (a unique next hop) whose link is down
+   yields [blackhole], and an ECMP choice probes the candidate ring
+   from the hashed index for the first live link. The probe stops at
+   its first candidate when every link is up, so fault-free hops are
+   identical under both variants (property-tested), and link recovery
+   restores the pre-failure choice. *)
 let blackhole = -1
 
-let link_up topo ~src ~dst = (Topology.link topo ~src ~dst).Link.up
+(* [Topology]'s coordinate decoders, repeated here: the default dune
+   profile compiles with -opaque, which turns each cross-module call
+   into a closure call, and [route] decodes up to six fields per hop.
+   A decoder that disagreed with [Topology.build]'s packing would
+   misroute, which the oracle QCheck in test_topo.ml catches. *)
+let coord_tier c = c land 7
+let coord_pod c = (c lsr 3) land 0xFFFF
+let coord_rg c = (c lsr 19) land 0xFFFF
+let coord_idx c = (c lsr 35) land 0xFFFF
+let live topo id = (Topology.link_of_id topo id).Link.up
 
-(* First live candidate in ring order starting at [start]; [blackhole]
-   if every candidate's link is dead. *)
-let probe_ring topo ~at (arr : int array) start =
-  let n = Array.length arr in
-  let rec go i =
-    if i = n then blackhole
+(* First live link of the ring [tbl.(base + (start + i) mod n)],
+   i = 0 .. n-1. Top level with every operand explicit: a local
+   closure would allocate per call. *)
+let rec probe topo tbl base n start i =
+  if i = n then blackhole
+  else
+    let id = tbl.(base + ((start + i) mod n)) in
+    if live topo id then id else probe topo tbl base n start (i + 1)
+
+let forced topo ~alive id =
+  if alive && not (live topo id) then blackhole else id
+
+let ecmp topo ~alive tbl base n start =
+  if alive then probe topo tbl base n start 0 else tbl.(base + start)
+
+let route topo ~alive ~at ~dst ~salt =
+  if at = dst then invalid_arg "Routing.next_link: already at destination";
+  let f = Topology.fwd topo in
+  let c = f.Topology.coord.(at) and dc = f.Topology.coord.(dst) in
+  let tier = coord_tier c and dt = coord_tier dc in
+  if tier <= Topology.tier_gateway then forced topo ~alive f.Topology.ep_up.(at)
+  else if tier = Topology.tier_tor then begin
+    let s = f.Topology.spines_per_pod in
+    let pod = coord_pod c and rack = coord_rg c in
+    let base = ((pod * f.Topology.racks) + rack) * s in
+    if dt <= Topology.tier_gateway && coord_pod dc = pod && coord_rg dc = rack
+    then (* an attached endpoint *)
+      forced topo ~alive f.Topology.ep_down.(dst)
+    else if dt >= Topology.tier_spine then
+      (* Spine g, or a core of group g, is reached via spine g. *)
+      forced topo ~alive f.Topology.tor_up.(base + coord_rg dc)
     else
-      let cand = arr.((start + i) mod n) in
-      if link_up topo ~src:at ~dst:cand then cand else go (i + 1)
-  in
-  go 0
+      (* Any spine of this pod reaches any pod. *)
+      ecmp topo ~alive f.Topology.tor_up base s
+        (ecmp_hash ~salt ~a:at ~b:dst mod s)
+  end
+  else if tier = Topology.tier_spine then begin
+    let r = f.Topology.racks and cores = f.Topology.cores_per_group in
+    let pod = coord_pod c and group = coord_rg c in
+    let pos = (pod * f.Topology.spines_per_pod) + group in
+    if dt <= Topology.tier_tor && coord_pod dc = pod then
+      forced topo ~alive f.Topology.spine_down.((pos * r) + coord_rg dc)
+    else if dt = Topology.tier_core && coord_rg dc = group then
+      forced topo ~alive f.Topology.spine_up.((pos * cores) + coord_idx dc)
+    else if
+      dt = Topology.tier_core
+      || (dt = Topology.tier_spine && coord_rg dc <> group)
+    then
+      (* Wrong group: descend to a local ToR, which re-ascends via the
+         right group. Only switch-addressed control packets that
+         entered the fabric on the wrong group get here; one bounce
+         corrects it. *)
+      ecmp topo ~alive f.Topology.spine_down (pos * r) r
+        (ecmp_hash ~salt ~a:at ~b:dst mod r)
+    else if cores = 0 then
+      invalid_arg "Routing.next_link: destination unreachable (no cores)"
+    else
+      (* Another pod, same group: transit any core of this group. *)
+      ecmp topo ~alive f.Topology.spine_up (pos * cores) cores
+        (ecmp_hash ~salt ~a:(at + dst) ~b:dst mod cores)
+  end
+  else if dt = Topology.tier_core then
+    invalid_arg "Routing.next_link: core-to-core packets are not routable"
+  else
+    (* A core descends to the target pod's spine of its own group. *)
+    let pos = (coord_rg c * f.Topology.cores_per_group) + coord_idx c in
+    forced topo ~alive
+      f.Topology.core_down.((pos * f.Topology.pods) + coord_pod dc)
+
+let next_link topo ~at ~dst ~salt = route topo ~alive:false ~at ~dst ~salt
+let next_link_alive topo ~at ~dst ~salt = route topo ~alive:true ~at ~dst ~salt
+
+let next_hop topo ~at ~dst ~salt =
+  (Topology.link_of_id topo (next_link topo ~at ~dst ~salt)).Link.dst
 
 let next_hop_alive topo ~at ~dst ~salt =
-  if at = dst then
-    invalid_arg "Routing.next_hop_alive: already at destination";
-  let forced hop = if link_up topo ~src:at ~dst:hop then hop else blackhole in
-  let dst_kind = Topology.kind topo dst in
-  match Topology.kind topo at with
-  | Node.Host _ | Node.Gateway _ -> forced (Topology.tor_of topo at)
-  | Node.Tor { pod; _ } -> (
-      match dst_kind with
-      | Node.Host { pod = dp; _ } | Node.Gateway { pod = dp; _ }
-        when dp = pod && Topology.tor_of topo dst = at ->
-          forced dst
-      | Node.Spine { pod = dp; group; _ } when dp = pod ->
-          forced (Topology.uplinks topo at).(group)
-      | Node.Core { group; _ } -> forced (Topology.uplinks topo at).(group)
-      | Node.Spine { group; _ } -> forced (Topology.uplinks topo at).(group)
-      | Node.Host _ | Node.Gateway _ | Node.Tor _ ->
-          let ups = Topology.uplinks topo at in
-          probe_ring topo ~at ups
-            (ecmp_hash ~salt ~a:at ~b:dst mod Array.length ups))
-  | Node.Spine { pod; group; _ } -> (
-      let down_in_pod dp dst =
-        match dst with
-        | Node.Host { rack; _ } | Node.Gateway { rack; _ } ->
-            Topology.tor_id topo ~pod:dp ~rack
-        | Node.Tor { rack; _ } -> Topology.tor_id topo ~pod:dp ~rack
-        | Node.Spine _ | Node.Core _ -> assert false
-      in
-      (* Descend to a local ToR: any live-linked rack serves, so probe
-         the rack ring from the hashed rack. *)
-      let descend () =
-        let racks = (Topology.params topo).Params.racks_per_pod in
-        let start = ecmp_hash ~salt ~a:at ~b:dst mod racks in
-        let rec go i =
-          if i = racks then blackhole
-          else
-            let tor = Topology.tor_id topo ~pod ~rack:((start + i) mod racks) in
-            if link_up topo ~src:at ~dst:tor then tor else go (i + 1)
-        in
-        go 0
-      in
-      match dst_kind with
-      | (Node.Host { pod = dp; _ } | Node.Gateway { pod = dp; _ } | Node.Tor { pod = dp; _ })
-        when dp = pod ->
-          forced (down_in_pod pod dst_kind)
-      | Node.Core { group = g; idx } when g = group ->
-          forced (Topology.uplinks topo at).(idx)
-      | Node.Core _ -> descend ()
-      | Node.Spine { group = g; _ } when g <> group -> descend ()
-      | Node.Host _ | Node.Gateway _ | Node.Tor _ | Node.Spine _ ->
-          let cores = Topology.uplinks topo at in
-          if Array.length cores = 0 then
-            invalid_arg
-              "Routing.next_hop_alive: destination unreachable (no cores)"
-          else
-            probe_ring topo ~at cores
-              (ecmp_hash ~salt ~a:(at + dst) ~b:dst mod Array.length cores))
-  | Node.Core { group; _ } -> (
-      match dst_kind with
-      | Node.Host { pod; _ } | Node.Gateway { pod; _ } | Node.Tor { pod; _ } ->
-          forced (Topology.spine_id topo ~pod ~group)
-      | Node.Spine { pod; _ } -> forced (Topology.spine_id topo ~pod ~group)
-      | Node.Core _ ->
-          invalid_arg
-            "Routing.next_hop_alive: core-to-core packets are not routable")
+  let l = next_link_alive topo ~at ~dst ~salt in
+  if l = blackhole then blackhole else (Topology.link_of_id topo l).Link.dst
 
 (* The original implementation: next hops recomputed from node
    coordinates on every call (including an [Array.init] of the core
@@ -227,7 +163,8 @@ let next_hop_oracle topo ~at ~dst ~salt =
               Array.init p.Params.cores_per_group (fun idx ->
                   Topology.core_id topo ~group ~idx)
             in
-            pick ~salt ~at ~dst cores)
+            cores.(ecmp_hash ~salt ~a:(at + dst) ~b:dst
+                   mod Array.length cores))
   | Node.Core { group; _ } -> (
       match dst_kind with
       | Node.Host { pod; _ } | Node.Gateway { pod; _ } | Node.Tor { pod; _ } ->

@@ -1,3 +1,20 @@
+(* Forwarding tables, filled in the CSR pass of [build]: a packet hop
+   reads the packed coordinates of [at] and [dst] and indexes one of
+   these link-id tables, so it never searches a CSR row. *)
+type fwd = {
+  coord : int array; (* node id -> packed (tier, pod, rack|group, idx) *)
+  ep_up : int array; (* endpoint id -> endpoint->ToR link *)
+  ep_down : int array; (* endpoint id -> ToR->endpoint link *)
+  tor_up : int array; (* ((pod*R)+rack)*S + group -> ToR->spine link *)
+  spine_down : int array; (* ((pod*S)+group)*R + rack -> spine->ToR link *)
+  spine_up : int array; (* ((pod*S)+group)*C + idx -> spine->core link *)
+  core_down : int array; (* ((group*C)+idx)*P + pod -> core->spine link *)
+  pods : int; (* P *)
+  racks : int; (* R, racks per pod *)
+  spines_per_pod : int; (* S, also the number of core groups *)
+  cores_per_group : int; (* C *)
+}
+
 type t = {
   params : Params.t;
   nodes : Node.t array;
@@ -15,11 +32,10 @@ type t = {
   core_ids : int array array; (* group -> idx -> id *)
   (* CSR adjacency: node [id]'s row spans [csr_off.(id), csr_off.(id+1))
      in [csr_nbr] (neighbor ids, sorted ascending) and [csr_links] (the
-     directed link id -> neighbor at the same index). O(n + E) words at
-     any scale; [link] is a branch-free-bounds binary search over a
-     row of at most max-degree entries. This replaced both the links
-     hashtable and the n^2 dense table (which was silently dropped
-     above n = 1024, falling back to two hashtable probes per hop). *)
+     directed link -> neighbor at the same index); a link's id is its
+     index. O(n + E) words at any scale; [link_id] is a binary search
+     over a row of at most max-degree entries, for control-plane
+     lookups by endpoint pair (packet hops use [fwd] instead). *)
   csr_off : int array; (* length n+1 *)
   csr_nbr : int array; (* length E (directed edges) *)
   csr_links : Link.t array; (* length E, parallel to csr_nbr *)
@@ -31,7 +47,31 @@ type t = {
          (indexed by group), spine -> its group's cores (indexed by
          idx), [||] for endpoints and cores. Rows alias [spine_ids] /
          [core_ids]; never mutate. *)
+  fwd : fwd;
 }
+
+(* Packed routing coordinates: 3 tier bits, then three 16-bit fields
+   (pod; rack for endpoints and ToRs, group for spines and cores; idx
+   for endpoints and cores). Cores carry pod 0, ToRs and spines idx 0. *)
+let tier_host = 0
+let tier_gateway = 1
+let tier_tor = 2
+let tier_spine = 3
+let tier_core = 4
+let coord_mask = 0xFFFF
+let coord_tier c = c land 7
+let coord_pod c = (c lsr 3) land coord_mask
+let coord_rg c = (c lsr 19) land coord_mask
+let coord_idx c = (c lsr 35) land coord_mask
+let pack tier ~pod ~rg ~idx =
+  tier lor (pod lsl 3) lor (rg lsl 19) lor (idx lsl 35)
+
+let coord_of_kind = function
+  | Node.Host { pod; rack; idx } -> pack tier_host ~pod ~rg:rack ~idx
+  | Node.Gateway { pod; rack; idx } -> pack tier_gateway ~pod ~rg:rack ~idx
+  | Node.Tor { pod; rack; _ } -> pack tier_tor ~pod ~rg:rack ~idx:0
+  | Node.Spine { pod; group; _ } -> pack tier_spine ~pod ~rg:group ~idx:0
+  | Node.Core { group; idx } -> pack tier_core ~pod:0 ~rg:group ~idx
 
 let params t = t.params
 let num_nodes t = Array.length t.nodes
@@ -71,26 +111,29 @@ let role t id =
   | Some r -> r
   | None -> invalid_arg "Topology.role: not a switch"
 
-(* Runs twice per hop (transmit + delivery): a bounded binary search of
-   the source's CSR row. Rows are short (max degree = max(hosts per
-   rack, pods)), so this is a handful of int compares on hot cache
-   lines — the same single code path at 10 nodes or 10^5. *)
-(* Top level with every operand passed explicitly: a local [let rec]
-   would capture [t] and [dst] and allocate a closure on each call —
-   measurable at two calls per event on the forwarding path. *)
-let rec csr_search nbr (links : Link.t array) dst lo hi =
+(* Control-plane lookup (fault installation, scenario validation): a
+   bounded binary search of the source's CSR row. Packet hops never
+   call it — they carry the link id that [Routing.next_link] read from
+   [fwd]. Top level with every operand passed explicitly, so no
+   closure is allocated per call. *)
+let rec csr_search nbr dst lo hi =
   if lo >= hi then raise Not_found
   else
     let mid = (lo + hi) lsr 1 in
     let v = nbr.(mid) in
-    if v = dst then links.(mid)
-    else if v < dst then csr_search nbr links dst (mid + 1) hi
-    else csr_search nbr links dst lo mid
+    if v = dst then mid
+    else if v < dst then csr_search nbr dst (mid + 1) hi
+    else csr_search nbr dst lo mid
 
-let link t ~src ~dst =
+let link_id t ~src ~dst =
   if src < 0 || src >= Array.length t.nodes then raise Not_found;
-  csr_search t.csr_nbr t.csr_links dst t.csr_off.(src) t.csr_off.(src + 1)
+  csr_search t.csr_nbr dst t.csr_off.(src) t.csr_off.(src + 1)
 
+let link t ~src ~dst = t.csr_links.(link_id t ~src ~dst)
+let link_of_id t id = t.csr_links.(id)
+let fwd t = t.fwd
+let tier t id = coord_tier t.fwd.coord.(id)
+let up_link t ep = t.fwd.ep_up.(ep)
 let iter_links t f = Array.iter f t.csr_links
 let neighbors t id = t.neighbors.(id)
 let uplinks t id = t.uplinks.(id)
@@ -100,6 +143,18 @@ let attached_endpoint_pips t tor =
 
 let build (p : Params.t) =
   Params.validate p;
+  if
+    List.exists
+      (fun d -> d > coord_mask)
+      [
+        p.pods;
+        p.racks_per_pod;
+        p.spines_per_pod;
+        p.cores_per_group;
+        p.hosts_per_rack;
+        p.gateways_per_gateway_pod;
+      ]
+  then invalid_arg "Topology.build: a dimension exceeds 65535";
   let gateway_pod p' = List.mem p' p.gateway_pods in
   (* The last rack of a gateway pod is the gateway rack. *)
   let gateway_rack pod rack = gateway_pod pod && rack = p.racks_per_pod - 1 in
@@ -224,7 +279,7 @@ let build (p : Params.t) =
       nodes
   in
   (* Flatten adjacency into CSR: sort each row by neighbor id (the
-     binary search in [link] depends on it), then fill the flat
+     binary search in [link_id] depends on it), then fill the flat
      offset/neighbor/link arrays. The FatTree constructor connects each
      node pair exactly once; the duplicate check makes that a hard
      invariant rather than a silent last-writer-wins. *)
@@ -256,12 +311,41 @@ let build (p : Params.t) =
     | None -> [||]
     | Some l -> Array.make num_links l
   in
+  (* The same pass files each link id under its forwarding role, so a
+     packet hop indexes a table instead of searching a row. Endpoint ids
+     are [0, num_endpoints): endpoints are created first. *)
+  let num_endpoints = List.length !hosts + List.length !gateways in
+  let pods = p.pods and racks = p.racks_per_pod in
+  let per_pod = p.spines_per_pod and per_group = p.cores_per_group in
+  let coord = Array.make n 0 in
+  let ep_up = Array.make num_endpoints (-1) in
+  let ep_down = Array.make num_endpoints (-1) in
+  let tor_up = Array.make (pods * racks * per_pod) (-1) in
+  let spine_down = Array.make (pods * per_pod * racks) (-1) in
+  let spine_up = Array.make (pods * per_pod * per_group) (-1) in
+  let core_down = Array.make (per_pod * per_group * pods) (-1) in
   Array.iteri
     (fun i row ->
+      let src = nodes.(i).Node.kind in
+      coord.(i) <- coord_of_kind src;
       Array.iteri
         (fun j (d, l) ->
-          csr_nbr.(csr_off.(i) + j) <- d;
-          csr_links.(csr_off.(i) + j) <- l)
+          let id = csr_off.(i) + j in
+          csr_nbr.(id) <- d;
+          csr_links.(id) <- l;
+          match (src, nodes.(d).Node.kind) with
+          | (Node.Host _ | Node.Gateway _), _ -> ep_up.(i) <- id
+          | Node.Tor _, (Node.Host _ | Node.Gateway _) -> ep_down.(d) <- id
+          | Node.Tor { pod; rack; _ }, Node.Spine { group; _ } ->
+              tor_up.((((pod * racks) + rack) * per_pod) + group) <- id
+          | Node.Spine { pod; group; _ }, Node.Tor { rack; _ } ->
+              spine_down.((((pod * per_pod) + group) * racks) + rack) <- id
+          | Node.Spine { pod; group; _ }, Node.Core { idx; _ } ->
+              spine_up.((((pod * per_pod) + group) * per_group) + idx) <- id
+          | Node.Core { group; idx }, Node.Spine { pod; _ } ->
+              core_down.((((group * per_group) + idx) * pods) + pod) <- id
+          | (Node.Tor _ | Node.Spine _ | Node.Core _), _ ->
+              invalid_arg "Topology.build: link outside the FatTree pattern")
         row)
     rows;
   {
@@ -284,4 +368,18 @@ let build (p : Params.t) =
     csr_links;
     neighbors = Array.map (Array.map fst) rows;
     uplinks;
+    fwd =
+      {
+        coord;
+        ep_up;
+        ep_down;
+        tor_up;
+        spine_down;
+        spine_up;
+        core_down;
+        pods;
+        racks;
+        spines_per_pod = per_pod;
+        cores_per_group = per_group;
+      };
   }

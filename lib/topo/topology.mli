@@ -64,12 +64,23 @@ val core_id : t -> group:int -> idx:int -> int
     [id] is not a switch. *)
 val role : t -> int -> Node.role
 
-(** [link t ~src ~dst] is the directed link between adjacent nodes.
-    Raises [Not_found] if they are not adjacent. One code path at every
-    scale: a binary search of [src]'s CSR adjacency row (a handful of
-    int compares — rows are at most max-degree long), no hashing, no
-    allocation, no n^2 table. *)
+(** [link t ~src ~dst] is the directed link between adjacent nodes,
+    [link_of_id t (link_id t ~src ~dst)]. Raises [Not_found] if they
+    are not adjacent. *)
 val link : t -> src:int -> dst:int -> Link.t
+
+(** [link_id t ~src ~dst] is the id of the directed link between
+    adjacent nodes: its index in CSR order, in [[0, num_links t)].
+    Raises [Not_found] if they are not adjacent. A binary search of
+    [src]'s CSR row (at most max-degree long), for control-plane
+    lookups by endpoint pair; packet hops get their link id from
+    {!Routing.next_link} instead. *)
+val link_id : t -> src:int -> dst:int -> int
+
+(** [link_of_id t id] is link [id]. Unchecked: [lib/topo] is compiled
+    with [-unsafe], so [id] must be a valid link id — in particular a
+    routing result must be compared with {!Routing.blackhole} first. *)
+val link_of_id : t -> int -> Link.t
 
 (** [iter_links t f] applies [f] to every directed link, in CSR order
     (ascending source id, then ascending destination id). *)
@@ -85,9 +96,62 @@ val neighbors : t -> int -> int array
     spine's row is its group's core switches indexed by idx, and
     endpoints/cores have an empty row. Rows are shared with the
     topology's internal indexes — treat them as read-only. This is the
-    forwarding hot path's lookup table; {!Routing.next_hop} uses it to
-    pick next hops without allocating. *)
+    candidate table the fault plan generator draws from; the link ids
+    of the same candidates, in the same order, are {!fwd}'s [tor_up]
+    and [spine_up] rows. *)
 val uplinks : t -> int -> int array
+
+(** {2 Forwarding tables}
+
+    What a packet hop reads instead of searching: each node's packed
+    routing coordinates, and the id of every directed link filed under
+    its forwarding role. Filled by {!build} in the same pass that lays
+    out the CSR rows. *)
+
+(** Packed coordinates of a node: tier in bits 0-2, then three 16-bit
+    fields — pod (0 for cores), rack (endpoints, ToRs) or group
+    (spines, cores), and idx (endpoints, cores; 0 otherwise). *)
+val tier_host : int
+
+val tier_gateway : int
+val tier_tor : int
+val tier_spine : int
+val tier_core : int
+val coord_tier : int -> int
+val coord_pod : int -> int
+val coord_rg : int -> int
+val coord_idx : int -> int
+
+(** The tables, by link role. [P], [R], [S] and [C] are [pods],
+    [racks], [spines_per_pod] and [cores_per_group]; every entry is a
+    link id. Rows are shared with the topology — treat as read-only. *)
+type fwd = private {
+  coord : int array;  (** node id -> packed coordinates *)
+  ep_up : int array;  (** endpoint id -> endpoint->ToR link *)
+  ep_down : int array;  (** endpoint id -> ToR->endpoint link *)
+  tor_up : int array;
+      (** [((pod*R)+rack)*S + group] -> ToR->spine link; row order is
+          {!uplinks}' *)
+  spine_down : int array;  (** [((pod*S)+group)*R + rack] -> spine->ToR *)
+  spine_up : int array;
+      (** [((pod*S)+group)*C + idx] -> spine->core link; row order is
+          {!uplinks}' *)
+  core_down : int array;  (** [((group*C)+idx)*P + pod] -> core->spine *)
+  pods : int;
+  racks : int;
+  spines_per_pod : int;
+  cores_per_group : int;
+}
+
+val fwd : t -> fwd
+
+(** [tier t id] is node [id]'s tier, [coord_tier (fwd t).coord.(id)]. *)
+val tier : t -> int -> int
+
+(** [up_link t ep] is the id of endpoint [ep]'s link to its ToR —
+    where every host send and reforward leaves. [ep] must be an
+    endpoint (unchecked). *)
+val up_link : t -> int -> int
 
 (** [attached_endpoint_pips t tor] is the set of PIPs of servers and
     gateways directly attached to [tor] — the front-panel-port table

@@ -100,7 +100,14 @@ let check_matches_oracle ~what topo samples =
       if got <> hop then
         QCheck.Test.fail_reportf
           "%s: next_hop_alive(at=%d,dst=%d,salt=%d) = %d, oracle says %d" what
-          at dst salt got hop)
+          at dst salt got hop;
+      let l =
+        Topology.link_of_id topo (Routing.next_link_alive topo ~at ~dst ~salt)
+      in
+      if l.Link.src <> at || l.Link.dst <> hop then
+        QCheck.Test.fail_reportf
+          "%s: next_link_alive(at=%d,dst=%d,salt=%d) is %d->%d, oracle says %d"
+          what at dst salt l.Link.src l.Link.dst hop)
     samples
 
 (* Downing fabric links never routes onto a dead link, and restoring
@@ -127,7 +134,16 @@ let ecmp_restore_qcheck =
              && not (Topology.link topo ~src:at ~dst:got).Link.up
           then
             QCheck.Test.fail_reportf
-              "routed onto dead link %d->%d (dst=%d salt=%d)" at got dst salt)
+              "routed onto dead link %d->%d (dst=%d salt=%d)" at got dst salt;
+          let id = Routing.next_link_alive topo ~at ~dst ~salt in
+          if id <> Routing.blackhole then begin
+            let l = Topology.link_of_id topo id in
+            if l.Link.src <> at || not l.Link.up then
+              QCheck.Test.fail_reportf
+                "next_link_alive chose dead or foreign link %d->%d (at=%d \
+                 dst=%d salt=%d)"
+                l.Link.src l.Link.dst at dst salt
+          end)
         samples;
       Array.iter
         (fun (a, b) ->
@@ -163,7 +179,41 @@ let test_blackhole_when_all_uplinks_dead () =
     (Topology.uplinks topo t0);
   Alcotest.(check int) "restored"
     (Routing.next_hop topo ~at:t0 ~dst:far ~salt:0)
-    (Routing.next_hop_alive topo ~at:t0 ~dst:far ~salt:0)
+    (Routing.next_hop_alive topo ~at:t0 ~dst:far ~salt:0);
+  (* End to end: the same ToR routes into [blackhole] for every packet
+     of a flow toward [far]. The network tests for the sentinel before
+     it looks up a link, and counts each drop at the blackhole site. *)
+  let net = Network.create topo ~scheme:(Schemes.Baselines.direct ()) in
+  Network.install_faults net
+    {
+      Fault.seed = 1;
+      specs =
+        Array.map
+          (fun sp ->
+            { Fault.at = Time_ns.zero; action = Fault.Link_down (t0, sp) })
+          (Topology.uplinks topo t0);
+    };
+  let vms_per_host = params.Params.vms_per_host in
+  let vip_of h =
+    let rec index i = if hosts.(i) = h then i else index (i + 1) in
+    Vip.of_int (index 0 * vms_per_host)
+  in
+  let packets = 5 in
+  Network.run net
+    [
+      Flow.make ~id:0 ~pkt_bytes:1500 ~src_vip:(vip_of hosts.(0))
+        ~dst_vip:(vip_of far) ~size_bytes:(packets * 1500)
+        ~start:(Time_ns.of_us 10)
+        (Flow.Udp { rate_bps = 1e10 });
+    ]
+    ~migrations:[] ~until:(Time_ns.of_ms 1);
+  let m = Network.metrics net in
+  Alcotest.(check int) "every packet dropped at the blackhole" packets
+    (List.assoc "fault_blackhole" (Netsim.Metrics.drops_by_site m));
+  Alcotest.(check int) "nothing delivered" 0
+    (Netsim.Metrics.delivered_packets m);
+  Alcotest.(check int) "conservation" (Network.injected_packets net)
+    (Netsim.Metrics.packets_dropped m + Network.live_packets net)
 
 (* ---------------------------------------------------------------- *)
 (* Plan text round-trip.                                            *)

@@ -262,9 +262,15 @@ let switch_pair_routing_qcheck =
       let path = Routing.path t ~src ~dst ~salt in
       List.nth path (List.length path - 1) = dst && List.length path <= 10)
 
-(* The table-based [next_hop] must agree with the coordinate-computed
-   oracle at every (at, dst, salt), over every node kind. Core-to-core
-   and at = dst are the two argument combinations both reject. *)
+(* [next_link]'s link leaves [at] and lands on the oracle's hop. *)
+let next_link_matches t ~at ~dst ~salt ~hop =
+  let l = Topology.link_of_id t (Routing.next_link t ~at ~dst ~salt) in
+  l.Link.src = at && l.Link.dst = hop
+
+(* The table-based [next_hop] and [next_link] must agree with the
+   coordinate-computed oracle at every (at, dst, salt), over every node
+   kind. Core-to-core and at = dst are the two argument combinations
+   all reject. *)
 let next_hop_table_vs_oracle_qcheck =
   QCheck.Test.make ~name:"next_hop table agrees with oracle" ~count:1000
     QCheck.(triple small_nat small_nat small_nat)
@@ -278,8 +284,10 @@ let next_hop_table_vs_oracle_qcheck =
       in
       at = dst
       || (is_core at && is_core dst)
-      || Routing.next_hop t ~at ~dst ~salt
-         = Routing.next_hop_oracle t ~at ~dst ~salt)
+      ||
+      let hop = Routing.next_hop_oracle t ~at ~dst ~salt in
+      Routing.next_hop t ~at ~dst ~salt = hop
+      && next_link_matches t ~at ~dst ~salt ~hop)
 
 (* --- CSR adjacency vs a coordinate-derived Hashtbl oracle --- *)
 
@@ -334,13 +342,22 @@ let csr_vs_oracle_qcheck =
       if Topology.num_links t <> Hashtbl.length oracle then
         QCheck.Test.fail_reportf "num_links %d <> oracle %d"
           (Topology.num_links t) (Hashtbl.length oracle);
-      (* Every oracle edge resolves to a correctly-oriented link... *)
+      (* Every oracle edge resolves to a correctly-oriented link, and
+         its id round-trips through [link_of_id]... *)
       Hashtbl.iter
         (fun (src, dst) () ->
           let l = Topology.link t ~src ~dst in
           if l.Link.src <> src || l.Link.dst <> dst then
             QCheck.Test.fail_reportf "link %d->%d carries %d->%d" src dst
-              l.Link.src l.Link.dst)
+              l.Link.src l.Link.dst;
+          let id = Topology.link_id t ~src ~dst in
+          if
+            id < 0
+            || id >= Topology.num_links t
+            || Topology.link_of_id t id != l
+          then
+            QCheck.Test.fail_reportf "link id of %d->%d does not round-trip"
+              src dst)
         oracle;
       (* ...and every node's CSR row is exactly the oracle's neighbor
          set, sorted ascending. *)
@@ -377,8 +394,40 @@ let csr_vs_oracle_qcheck =
           | Node.Host _ | Node.Gateway _ | Node.Core _ -> [||]
         in
         if Topology.uplinks t id <> expected_uplinks then
-          QCheck.Test.fail_reportf "uplinks of %d wrong" id
+          QCheck.Test.fail_reportf "uplinks of %d wrong" id;
+        (* Packed routing coordinates decode to the node's kind. *)
+        let c = (Topology.fwd t).Topology.coord.(id) in
+        let expected =
+          match Topology.kind t id with
+          | Node.Host { pod; rack; idx } -> (Topology.tier_host, pod, rack, idx)
+          | Node.Gateway { pod; rack; idx } ->
+              (Topology.tier_gateway, pod, rack, idx)
+          | Node.Tor { pod; rack; _ } -> (Topology.tier_tor, pod, rack, 0)
+          | Node.Spine { pod; group; _ } -> (Topology.tier_spine, pod, group, 0)
+          | Node.Core { group; idx } -> (Topology.tier_core, 0, group, idx)
+        in
+        if
+          ( Topology.coord_tier c,
+            Topology.coord_pod c,
+            Topology.coord_rg c,
+            Topology.coord_idx c )
+          <> expected
+          || Topology.tier t id <> Topology.coord_tier c
+        then QCheck.Test.fail_reportf "coordinates of %d wrong" id
       done;
+      (* The link-id tables file every directed link exactly once. *)
+      let f = Topology.fwd t in
+      let filed =
+        Array.concat
+          Topology.
+            [
+              f.ep_up; f.ep_down; f.tor_up; f.spine_down; f.spine_up; f.core_down;
+            ]
+      in
+      Array.sort Int.compare filed;
+      if filed <> Array.init (Topology.num_links t) Fun.id then
+        QCheck.Test.fail_report
+          "link-id tables are not a permutation of the links";
       (* Out-of-range sources raise rather than reading wild memory
          (lib/topo compiles with -unsafe; [link] guards explicitly). *)
       (match Topology.link t ~src:(-1) ~dst:0 with
@@ -405,8 +454,10 @@ let ft16_next_hop_qcheck =
       in
       at = dst
       || (is_core at && is_core dst)
-      || Routing.next_hop t ~at ~dst ~salt
-         = Routing.next_hop_oracle t ~at ~dst ~salt)
+      ||
+      let hop = Routing.next_hop_oracle t ~at ~dst ~salt in
+      Routing.next_hop t ~at ~dst ~salt = hop
+      && next_link_matches t ~at ~dst ~salt ~hop)
 
 let ft16_link_qcheck =
   QCheck.Test.make ~name:"FT16-400K CSR link agrees with tor_of/uplinks"

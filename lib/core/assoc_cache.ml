@@ -34,24 +34,8 @@ let create ~ways ~slots =
 let slots t = t.n
 let ways t = t.ways
 
-(* Same mix hash as the direct-mapped cache, for comparability (see
-   [Cache.mix] for why it is int-limb arithmetic, not Int64). *)
-let mix v =
-  let a = v * 0x9E3779B9 in
-  let lo = a land 0xFFFFFFFF and hi = (a asr 32) land 0xFFFFFFFF in
-  let lo1 = (lo lxor ((hi lsl 2) lor (lo lsr 30))) land 0xFFFFFFFF in
-  let hi1 = hi lxor (hi lsr 30) in
-  let cl = 0x1CE4E5B9 and ch = 0xBF58476D in
-  let carry = (lo1 * cl) lsr 32 in
-  let mid =
-    ((((lo1 lsr 16) * ch) land 0xFFFF) lsl 16)
-    + ((lo1 land 0xFFFF) * ch)
-    + (hi1 * cl)
-    + carry
-  in
-  (mid land 0xFFFFFFFF) lsr 1
-
-let set_of t vip = mix (Vip.to_int vip) mod Array.length t.sets
+(* Same hash as the d-left table, for comparability. *)
+let set_of t vip = Cache.mix (Vip.to_int vip) mod Array.length t.sets
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -94,28 +78,6 @@ let peek t vip =
       else find (i + 1)
     in
     find 0
-
-(* The key an [insert] for [vip] would evict right now: the set's LRU
-   occupant, or -1 when the insert would be an update or the set still
-   has an empty line. *)
-let victim_key t vip =
-  if t.n = 0 then -1
-  else begin
-    let set = t.sets.(set_of t vip) in
-    let k = Vip.to_int vip in
-    let present = ref false and has_empty = ref false in
-    Array.iter
-      (fun l ->
-        if l.key = k then present := true;
-        if l.key < 0 then has_empty := true)
-      set;
-    if !present || !has_empty then -1
-    else begin
-      let victim = ref set.(0) in
-      Array.iter (fun l -> if l.stamp < !victim.stamp then victim := l) set;
-      !victim.key
-    end
-  end
 
 let insert t vip pip =
   if t.n = 0 then ()

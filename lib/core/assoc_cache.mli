@@ -32,13 +32,8 @@ val lookup : t -> Netcore.Addr.Vip.t -> int
 val hit_pip : int -> Netcore.Addr.Pip.t
 
 (** [peek t vip] is a side-effect-free lookup: no LRU refresh, no
-    counter updates (tests and the TinyLFU front end). *)
+    counter updates (tests). *)
 val peek : t -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t option
-
-(** [victim_key t vip] is the key (as an int) an {!insert} for [vip]
-    would evict right now — the set's LRU occupant — or [-1] when the
-    insert would be an update or the set has an empty line. *)
-val victim_key : t -> Netcore.Addr.Vip.t -> int
 
 (** [insert t vip pip] — installs the mapping, evicting the set's
     least-recently-used line if full. Re-inserting an existing key

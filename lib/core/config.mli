@@ -17,9 +17,9 @@ type allocation =
 
 (** Cache organization for every switch's V2P cache. [Geo_direct] is
     the paper's direct-mapped single-access-bit design; [Geo_dleft d]
-    is a d-left table ([d] subtables, independent hashes — see
-    {!Dleft}). Each switch's slot share is rounded down to a multiple
-    of [d]. *)
+    is a d-left table ([d] subtables, independent hashes): the
+    dataplane builds each {!Cache} with [~ways:d], which rounds the
+    switch's slot share down to a multiple of [d]. *)
 type geometry = Geo_direct | Geo_dleft of int
 
 type t = {
@@ -35,8 +35,8 @@ type t = {
   allocation : allocation;
   geometry : geometry;  (** cache organization; the paper's is direct *)
   tinylfu : bool;
-      (** wrap each cache in a {!Tinylfu} frequency-admission front
-          end (4-bit count-min sketch, admit-on-higher-estimate) *)
+      (** attach the {!Tinylfu} frequency-admission filter to each
+          cache (4-bit count-min sketch, admit-on-higher-estimate) *)
 }
 
 (** The paper's default configuration: everything on, P_learn = 0.005,

@@ -15,7 +15,7 @@ type switch_state = {
   sw_id : int;
   mutable role : Topo.Node.role;
       (* mutable: gateway migration reassigns ToR/spine roles (§4) *)
-  caches : Geo_cache.t array; (* one private partition per tenant *)
+  caches : Cache.t array; (* one private partition per tenant *)
   ts_vector : Ts_vector.t option; (* ToRs only *)
   attached_hosts : (int, unit) Hashtbl.t;
       (* front-panel table: node ids of attached non-gateway servers *)
@@ -125,6 +125,9 @@ let create ?(partition = Partition.single) cfg topo ~total_cache_slots =
     Array.fold_left min num_nodes all_switches
   in
   let num_switches = Array.length all_switches in
+  let ways =
+    match cfg.Config.geometry with Config.Geo_direct -> 1 | Config.Geo_dleft d -> d
+  in
   Array.iter
     (fun sw ->
       let role = Topo.Topology.role topo sw in
@@ -154,8 +157,8 @@ let create ?(partition = Partition.single) cfg topo ~total_cache_slots =
       let caches =
         Array.map
           (fun tenant_slots ->
-            Geo_cache.create cfg.Config.geometry ~tinylfu:cfg.Config.tinylfu
-              ~slots:tenant_slots)
+            Cache.create ~ways ~tinylfu:cfg.Config.tinylfu
+              ~slots:tenant_slots ())
           (Partition.split_slots partition ~slots)
       in
       states.(sw) <-
@@ -217,12 +220,12 @@ let probe_telemetry t tel ~now_sec =
             in
             Array.iter
               (fun c ->
-                acc.(0) <- acc.(0) + Geo_cache.occupancy c;
-                acc.(1) <- acc.(1) + Geo_cache.hits c;
-                acc.(2) <- acc.(2) + Geo_cache.misses c;
-                acc.(3) <- acc.(3) + Geo_cache.evictions c;
-                acc.(4) <- acc.(4) + Geo_cache.rejections c;
-                acc.(5) <- acc.(5) + Geo_cache.insertions c)
+                acc.(0) <- acc.(0) + Cache.occupancy c;
+                acc.(1) <- acc.(1) + Cache.hits c;
+                acc.(2) <- acc.(2) + Cache.misses c;
+                acc.(3) <- acc.(3) + Cache.evictions c;
+                acc.(4) <- acc.(4) + Cache.rejections c;
+                acc.(5) <- acc.(5) + Cache.insertions c)
               st.caches)
       t.states;
     List.iter
@@ -252,19 +255,17 @@ let probe_telemetry t tel ~now_sec =
 (* The cache partition owning [vip] at this switch. *)
 let cache_for t st vip = st.caches.(Partition.tenant_of t.partition vip)
 
-let geo_cache t ~switch = (state t switch).caches.(0)
-
-let cache t ~switch = Geo_cache.direct_exn (state t switch).caches.(0)
+let cache t ~switch = (state t switch).caches.(0)
 
 let cache_of_tenant t ~switch ~tenant =
   let st = state t switch in
   if tenant < 0 || tenant >= Array.length st.caches then
     invalid_arg "Dataplane.cache_of_tenant: tenant out of range";
-  Geo_cache.direct_exn st.caches.(tenant)
+  st.caches.(tenant)
 
 let slots_of t ~switch =
   Array.fold_left
-    (fun acc c -> acc + Geo_cache.slots c)
+    (fun acc c -> acc + Cache.slots c)
     0 (state t switch).caches
 let learning_packets_sent t = t.learning_packets_sent
 let invalidation_packets_sent t = t.invalidation_packets_sent
@@ -294,7 +295,7 @@ let admission_of_role = function
    box would cost two minor words per dispatch. Install paths with no
    carrier packet use [insert_no_spill]. *)
 let insert_with_spill t env st (pkt : Packet.t) ~admission vip pip =
-  match Geo_cache.insert (cache_for t st vip) ~admission vip pip with
+  match Cache.insert (cache_for t st vip) ~admission vip pip with
   | Cache.Inserted (Some evicted) ->
       if t.cfg.Config.spillover && pkt.Packet.spill = None then begin
         pkt.Packet.spill <- Some evicted;
@@ -306,7 +307,7 @@ let insert_with_spill t env st (pkt : Packet.t) ~admission vip pip =
 (* Same insert, but with no carrier packet to attach spillover to
    (learning-packet installs). *)
 let insert_no_spill t st ~admission vip pip =
-  match Geo_cache.insert (cache_for t st vip) ~admission vip pip with
+  match Cache.insert (cache_for t st vip) ~admission vip pip with
   | Cache.Inserted _ | Cache.Updated | Cache.Rejected -> ()
 
 let rewrite_to st (pkt : Packet.t) pip =
@@ -372,12 +373,12 @@ let maybe_send_learning_packet t env st (pkt : Packet.t) =
    trusted path and recorded no miss when the VIP was absent. *)
 let handle_tagged t env st (pkt : Packet.t) =
   let cache = cache_for t st pkt.Packet.dst_vip in
-  let r = Geo_cache.lookup cache pkt.Packet.dst_vip in
+  let r = Cache.lookup cache pkt.Packet.dst_vip in
   if r >= 0 then begin
     let stale = pkt.Packet.misdelivery in
     if r lsr 1 = stale then begin
       if
-        Geo_cache.invalidate cache pkt.Packet.dst_vip ~stale:(Pip.of_int stale)
+        Cache.invalidate cache pkt.Packet.dst_vip ~stale:(Pip.of_int stale)
       then begin
         t.entries_invalidated <- t.entries_invalidated + 1;
         flight t env st pkt "invalidated"
@@ -395,11 +396,11 @@ let handle_tagged t env st (pkt : Packet.t) =
    that hairpinned it, so it is provably stale. *)
 let handle_pinned t env st (pkt : Packet.t) =
   let cache = cache_for t st pkt.Packet.dst_vip in
-  let r = Geo_cache.lookup cache pkt.Packet.dst_vip in
+  let r = Cache.lookup cache pkt.Packet.dst_vip in
   if
     r >= 0
     && r lsr 1 = Pip.to_int pkt.Packet.src_pip
-    && Geo_cache.invalidate cache pkt.Packet.dst_vip ~stale:pkt.Packet.src_pip
+    && Cache.invalidate cache pkt.Packet.dst_vip ~stale:pkt.Packet.src_pip
   then begin
     t.entries_invalidated <- t.entries_invalidated + 1;
     flight t env st pkt "invalidated"
@@ -407,7 +408,7 @@ let handle_pinned t env st (pkt : Packet.t) =
 
 let regular_lookup t env st (pkt : Packet.t) =
   let r =
-    Geo_cache.lookup (cache_for t st pkt.Packet.dst_vip) pkt.Packet.dst_vip
+    Cache.lookup (cache_for t st pkt.Packet.dst_vip) pkt.Packet.dst_vip
   in
   if r >= 0 then begin
     let pip = Cache.hit_pip r in
@@ -435,10 +436,10 @@ let absorb_spill t env st (pkt : Packet.t) =
   match pkt.Packet.spill with
   | Some (vip, pip) when t.cfg.Config.spillover -> (
       let cache = cache_for t st vip in
-      if Geo_cache.slots cache = 0 then ()
+      if Cache.slots cache = 0 then ()
       else
         match
-          Geo_cache.insert cache ~admission:(admission_of_role st.role) vip pip
+          Cache.insert cache ~admission:(admission_of_role st.role) vip pip
         with
         | Cache.Inserted _ | Cache.Updated ->
             pkt.Packet.spill <- None;
@@ -506,7 +507,7 @@ let classify t env ~switch ~from (pkt : Packet.t) =
   | Packet.Invalidation ->
       (match pkt.Packet.mapping_payload with
       | Some (vip, stale) ->
-          if Geo_cache.invalidate (cache_for t st vip) vip ~stale then begin
+          if Cache.invalidate (cache_for t st vip) vip ~stale then begin
             t.entries_invalidated <- t.entries_invalidated + 1;
             flight t env st pkt "invalidated"
           end
@@ -610,4 +611,4 @@ let reassign_role t ~switch role =
 let role_of t ~switch = (state t switch).role
 
 let fail_switch t ~switch =
-  Array.iter Geo_cache.clear (state t switch).caches
+  Array.iter Cache.clear (state t switch).caches

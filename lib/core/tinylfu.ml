@@ -1,89 +1,70 @@
-module Vip = Netcore.Addr.Vip
-
-(* TinyLFU-style frequency admission (Einziger et al.): a 4-bit
-   count-min sketch tracks approximate access frequency; an insert
-   that would evict a resident entry is admitted only when the
-   candidate's estimated frequency exceeds the victim's. Counters
-   halve after every [sample] touches, aging history so the sketch
-   follows the working set.
+(* TinyLFU frequency sketch (Einziger et al.): a 4-bit count-min
+   sketch tracks approximate access frequency so a cache can admit an
+   evicting insert only when the candidate is estimated hotter than
+   its victim. Counters halve after every [sample] touches, aging
+   history so the sketch follows the working set.
 
    The sketch is dataplane-shaped: [rows] register arrays of [width]
    4-bit saturating counters (two per byte), indexed by per-row hashes
    of the key — exactly the structure a Tofino stage can host, which
    is what the [P4model.Resources] sketch costing charges for. *)
 
-type backing =
-  | Direct of Cache.t
-  | Dleft of Dleft.t
-  | Assoc of Assoc_cache.t
+(* Fixed hash shared by the cache table and this sketch, standing in
+   for the hardware CRC; [Cache.mix] re-exports it (the sketch sits
+   below the table in the dependency order). Bit-identical to the
+   splitmix64 finalizer step
+     z = of_int (v * 0x9E3779B9);
+     to_int ((mul (logxor z (lsr z 30)) 0xBF58476D1CE4E5B9L) lsr 33)
+   but computed in native int limbs: boxed Int64 temporaries would cost
+   ~6 minor words per lookup, and this runs on the per-hop path. Only
+   the high 31 bits of the 64-bit product are needed, so the multiply
+   keeps just the carry into the high limb. *)
+let mix v =
+  let a = v * 0x9E3779B9 in
+  let lo = a land 0xFFFFFFFF and hi = (a asr 32) land 0xFFFFFFFF in
+  let lo1 = (lo lxor ((hi lsl 2) lor (lo lsr 30))) land 0xFFFFFFFF in
+  let hi1 = hi lxor (hi lsr 30) in
+  let cl = 0x1CE4E5B9 and ch = 0xBF58476D in
+  let carry = (lo1 * cl) lsr 32 in
+  let mid =
+    ((((lo1 lsr 16) * ch) land 0xFFFF) lsl 16)
+    + ((lo1 land 0xFFFF) * ch)
+    + (hi1 * cl)
+    + carry
+  in
+  (mid land 0xFFFFFFFF) lsr 1
 
 type t = {
-  backing : backing;
   counters : Bytes.t; (* rows * width nibbles, two per byte *)
-  rows : int;
   width : int;
   sample : int;
-  always_admit : bool;
   mutable touches : int;
   mutable halvings : int;
-  mutable admitted : int;
-  mutable denied : int;
 }
 
-let backing_slots = function
-  | Direct c -> Cache.slots c
-  | Dleft c -> Dleft.slots c
-  | Assoc c -> Assoc_cache.slots c
+let rows = 4
 
 let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-let create ?(rows = 4) ?width ?sample ?(always_admit = false) backing =
-  if rows <= 0 then invalid_arg "Tinylfu.create: rows must be positive";
-  let slots = backing_slots backing in
-  (* Default sketch: ~4 counters per cached line per row (the classic
-     "sketch much larger than the cache" sizing), floor 16 so tiny
-     caches still discriminate. *)
-  let width =
-    match width with
-    | Some w ->
-        if w <= 0 then invalid_arg "Tinylfu.create: width must be positive";
-        w
-    | None -> next_pow2 (max 16 (4 * slots))
-  in
-  let sample =
-    match sample with
-    | Some s ->
-        if s <= 0 then invalid_arg "Tinylfu.create: sample must be positive";
-        s
-    | None -> max 64 (10 * slots)
-  in
+(* ~4 counters per cached line per row (the classic "sketch much larger
+   than the cache" sizing), floor 16 so tiny caches still discriminate;
+   one halving per ~10 accesses per line. *)
+let create ~slots =
+  let width = next_pow2 (max 16 (4 * slots)) in
   {
-    backing;
-    counters = Bytes.make ((rows * width + 1) / 2) '\000';
-    rows;
+    counters = Bytes.make (((rows * width) + 1) / 2) '\000';
     width;
-    sample;
-    always_admit;
+    sample = max 64 (10 * slots);
     touches = 0;
     halvings = 0;
-    admitted = 0;
-    denied = 0;
   }
 
-let backing t = t.backing
-let rows t = t.rows
-let width t = t.width
-let sample_period t = t.sample
-let always_admit t = t.always_admit
-
-(* Per-row index: the shared hardware hash over the key perturbed by a
-   fixed per-row constant (row 0 unseeded; independence across rows is
-   what count-min needs, not agreement with the cache's index). *)
-let row_seed r = r * 0x1B873593
-
-let col_of t r v = Cache.mix (v lxor row_seed r) mod t.width
+(* Per-row index: the shared hash over the key perturbed by a fixed
+   per-row constant (row 0 unseeded; independence across rows is what
+   count-min needs, not agreement with the cache's index). *)
+let col_of t r v = mix (v lxor (r * 0x1B873593)) mod t.width
 
 let nibble t i =
   let b = Char.code (Bytes.get t.counters (i lsr 1)) in
@@ -104,10 +85,8 @@ let halve t =
   done;
   t.halvings <- t.halvings + 1
 
-(* Count one access to key [v]: bump every row's counter (saturating
-   at 15); age the sketch when the sample period elapses. *)
 let touch t v =
-  for r = 0 to t.rows - 1 do
+  for r = 0 to rows - 1 do
     let i = (r * t.width) + col_of t r v in
     let x = nibble t i in
     if x < 15 then set_nibble t i (x + 1)
@@ -120,117 +99,14 @@ let touch t v =
 
 let estimate t v =
   let e = ref 15 in
-  for r = 0 to t.rows - 1 do
+  for r = 0 to rows - 1 do
     let x = nibble t ((r * t.width) + col_of t r v) in
     if x < !e then e := x
   done;
   !e
 
-let estimate_vip t vip = estimate t (Vip.to_int vip)
-
-let lookup t vip =
-  touch t (Vip.to_int vip);
-  match t.backing with
-  | Direct c -> Cache.lookup c vip
-  | Dleft c -> Dleft.lookup c vip
-  | Assoc c -> Assoc_cache.lookup c vip
-
-let peek t vip =
-  match t.backing with
-  | Direct c -> Cache.peek c vip
-  | Dleft c -> Dleft.peek c vip
-  | Assoc c -> Assoc_cache.peek c vip
-
-let victim_key t vip =
-  match t.backing with
-  | Direct c -> Cache.victim_key c vip
-  | Dleft c -> Dleft.victim_key c vip
-  | Assoc c -> Assoc_cache.victim_key c vip
-
-let insert t ~admission vip pip =
-  let v = Vip.to_int vip in
-  touch t v;
-  let victim = victim_key t vip in
-  (* Inserts that update or fill an empty line bypass the filter —
-     admission only arbitrates evictions, as in TinyLFU. *)
-  let admit =
-    t.always_admit || victim < 0 || estimate t v > estimate t victim
-  in
-  if not admit then begin
-    t.denied <- t.denied + 1;
-    Cache.Rejected
-  end
-  else begin
-    t.admitted <- t.admitted + 1;
-    match t.backing with
-    | Direct c -> Cache.insert c ~admission vip pip
-    | Dleft c -> Dleft.insert c ~admission vip pip
-    | Assoc c ->
-        (* The LRU backing reports no eviction payload (no spillover
-           rider from this geometry); classify update-vs-insert for
-           the caller's accounting. *)
-        let present = Assoc_cache.peek c vip <> None in
-        Assoc_cache.insert c vip pip;
-        if present then Cache.Updated else Cache.Inserted None
-  end
-
-let invalidate t vip ~stale =
-  match t.backing with
-  | Direct c -> Cache.invalidate c vip ~stale
-  | Dleft c -> Dleft.invalidate c vip ~stale
-  | Assoc _ -> false
-
 let clear t =
-  (match t.backing with
-  | Direct c -> Cache.clear c
-  | Dleft c -> Dleft.clear c
-  | Assoc _ -> ());
-  (* The sketch is data-plane register state: a reboot loses it too. *)
   Bytes.fill t.counters 0 (Bytes.length t.counters) '\000';
   t.touches <- 0
 
-let slots t = backing_slots t.backing
-
-let occupancy t =
-  match t.backing with
-  | Direct c -> Cache.occupancy c
-  | Dleft c -> Dleft.occupancy c
-  | Assoc c -> Assoc_cache.occupancy c
-
-let hits t =
-  match t.backing with
-  | Direct c -> Cache.hits c
-  | Dleft c -> Dleft.hits c
-  | Assoc c -> Assoc_cache.hits c
-
-let misses t =
-  match t.backing with
-  | Direct c -> Cache.misses c
-  | Dleft c -> Dleft.misses c
-  | Assoc c -> Assoc_cache.misses c
-
-let insertions t =
-  match t.backing with
-  | Direct c -> Cache.insertions c
-  | Dleft c -> Dleft.insertions c
-  | Assoc _ -> 0
-
-let evictions t =
-  match t.backing with
-  | Direct c -> Cache.evictions c
-  | Dleft c -> Dleft.evictions c
-  | Assoc _ -> 0
-
-(* Admission rejections: the sketch's denials plus whatever the
-   backing's own policy turned away after the filter admitted. *)
-let rejections t =
-  t.denied
-  +
-  match t.backing with
-  | Direct c -> Cache.rejections c
-  | Dleft c -> Dleft.rejections c
-  | Assoc _ -> 0
-
-let admitted t = t.admitted
-let denied t = t.denied
 let halvings t = t.halvings

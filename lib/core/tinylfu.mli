@@ -1,89 +1,33 @@
-(** TinyLFU-style frequency-admission front end (Einziger et al.,
-    "TinyLFU: A Highly Efficient Cache Admission Policy"), composable
-    over any of the repo's cache geometries.
+(** TinyLFU frequency sketch (Einziger et al., "TinyLFU: A Highly
+    Efficient Cache Admission Policy") — the admission filter a
+    {!Cache} built with [~tinylfu:true] consults before it evicts.
 
-    A 4-bit count-min sketch ([rows] register arrays of [width]
-    saturating counters, two per byte) estimates each key's access
-    frequency; after every [sample] touches all counters halve,
-    aging out stale history. An insert that would evict a resident
-    entry is admitted only when the candidate's estimate strictly
-    exceeds the victim's; updates and empty-line fills always pass.
+    A 4-bit count-min sketch: 4 register arrays of [width] saturating
+    counters (two per byte), [width] the next power of two
+    >= max 16 (4 * slots). After every max 64 (10 * slots) touches all
+    counters halve, aging out stale history. The sizing is fixed; the
+    SRAM costing in [P4model.Resources.sketch_of_slots] mirrors it. *)
 
-    With [always_admit = true] the sketch still counts but never
-    vetoes: every operation delegates to the backing unchanged, so the
-    wrapper is byte-for-byte its backing on hit/miss/eviction
-    sequences and counters — the degenerate equivalence the QCheck
-    suite pins. *)
-
-(** The wrapped geometry. [Direct]/[Dleft] carry the full protocol
-    semantics (packed access-bit lookups, admission policies,
-    invalidation); [Assoc] is for the cache-geometry study only — its
-    lookups return {!Assoc_cache.lookup}'s unshifted packing,
-    [invalidate] is a no-op, and insert/eviction/rejection counters
-    read 0. *)
-type backing =
-  | Direct of Cache.t
-  | Dleft of Dleft.t
-  | Assoc of Assoc_cache.t
+(** [mix v] — the fixed 31-bit hash shared by the cache table and the
+    sketch, re-exported as {!Cache.mix}; see there. *)
+val mix : int -> int
 
 type t
 
-(** [create backing] — [rows] defaults to 4; [width] to the next power
-    of two >= max 16 (4 * slots); [sample] to max 64 (10 * slots).
-    Raises [Invalid_argument] on non-positive values. *)
-val create :
-  ?rows:int -> ?width:int -> ?sample:int -> ?always_admit:bool -> backing -> t
+(** [create ~slots] — the sketch for a [slots]-line cache. *)
+val create : slots:int -> t
 
-val backing : t -> backing
-val rows : t -> int
-val width : t -> int
-val sample_period : t -> int
-val always_admit : t -> bool
+(** [touch t v] counts one access to key [v], saturating at 15, and
+    halves every counter when the sample period elapses. *)
+val touch : t -> int -> unit
 
-(** [lookup t vip] counts the access in the sketch, then delegates.
-    The packed result follows the backing's convention. *)
-val lookup : t -> Netcore.Addr.Vip.t -> int
+(** [estimate t v] — the current frequency estimate of key [v] in
+    [0, 15] (count-min: an upper bound biased by collisions). *)
+val estimate : t -> int -> int
 
-val peek : t -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t option
-
-(** [insert t ~admission vip pip] — counts the candidate, probes the
-    backing's would-be victim, and delegates unless the filter vetoes
-    (victim exists, not [always_admit], candidate estimate <= victim
-    estimate), in which case it returns [Rejected] without touching
-    the backing. [admission] is passed through to the backing. *)
-val insert :
-  t ->
-  admission:Cache.admission ->
-  Netcore.Addr.Vip.t ->
-  Netcore.Addr.Pip.t ->
-  Cache.insert_result
-
-val victim_key : t -> Netcore.Addr.Vip.t -> int
-val invalidate : t -> Netcore.Addr.Vip.t -> stale:Netcore.Addr.Pip.t -> bool
-
-(** [clear t] wipes the backing (where supported) {e and} the sketch —
-    both are data-plane register state lost on a reboot. *)
+(** [clear t] zeroes every counter and restarts the sample period
+    (a reboot loses the sketch with the cache). *)
 val clear : t -> unit
 
-(** [estimate_vip t vip] — the sketch's current frequency estimate
-    in [0, 15] (count-min: an upper bound biased by collisions). *)
-val estimate_vip : t -> Netcore.Addr.Vip.t -> int
-
-val slots : t -> int
-val occupancy : t -> int
-val hits : t -> int
-val misses : t -> int
-val insertions : t -> int
-val evictions : t -> int
-
-(** [rejections t] = sketch denials + the backing's own policy
-    rejections. *)
-val rejections : t -> int
-
-(** [admitted t] / [denied t] split insert attempts at the filter. *)
-val admitted : t -> int
-
-val denied : t -> int
-
-(** [halvings t] counts sample-period counter halvings. *)
+(** [halvings t] counts sample-period halvings since creation. *)
 val halvings : t -> int

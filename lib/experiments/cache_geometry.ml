@@ -89,47 +89,25 @@ type sim = {
   sram_bits : int;
 }
 
-let direct_sim ~slots ~tinylfu =
-  let base = Switchv2p.Cache.create ~slots in
-  let c =
-    if tinylfu then Switchv2p.Geo_cache.Lfu (Switchv2p.Tinylfu.create (Switchv2p.Tinylfu.Direct base))
-    else Switchv2p.Geo_cache.Direct base
-  in
+(* A d-left table, optionally with the TinyLFU filter; [ways = 1] is
+   the paper's direct-mapped cache. [Cache.create] rounds the capacity
+   down to a multiple of [ways]; the caller skips organizations that do
+   not fit at all. *)
+let table_sim ~ways ~slots ~tinylfu =
+  let c = Switchv2p.Cache.create ~ways ~tinylfu ~slots () in
+  let slots = Switchv2p.Cache.slots c in
   let sketch = if tinylfu then Some (Resources.sketch_of_slots slots) else None in
+  let geometry = if ways = 1 then Resources.G_direct else Resources.G_dleft ways in
   {
     lookup =
       (fun vip ->
-        if Switchv2p.Geo_cache.lookup c vip >= 0 then true
+        if Switchv2p.Cache.lookup c vip >= 0 then true
         else begin
-          ignore
-            (Switchv2p.Geo_cache.insert c ~admission:`All vip (Pip.of_int 1));
+          ignore (Switchv2p.Cache.insert c ~admission:`All vip (Pip.of_int 1));
           false
         end);
     used_slots = slots;
-    sram_bits = Resources.geometry_bits ~slots ?sketch Resources.G_direct;
-  }
-
-let dleft_sim ~d ~slots ~tinylfu =
-  (* Capacity rounded down to a multiple of the way count; the caller
-     skips organizations that do not fit at all. *)
-  let slots = slots - (slots mod d) in
-  let base = Switchv2p.Dleft.create ~d ~slots in
-  let c =
-    if tinylfu then Switchv2p.Geo_cache.Lfu (Switchv2p.Tinylfu.create (Switchv2p.Tinylfu.Dleft base))
-    else Switchv2p.Geo_cache.Dleft base
-  in
-  let sketch = if tinylfu then Some (Resources.sketch_of_slots slots) else None in
-  {
-    lookup =
-      (fun vip ->
-        if Switchv2p.Geo_cache.lookup c vip >= 0 then true
-        else begin
-          ignore
-            (Switchv2p.Geo_cache.insert c ~admission:`All vip (Pip.of_int 1));
-          false
-        end);
-    used_slots = slots;
-    sram_bits = Resources.geometry_bits ~slots ?sketch (Resources.G_dleft d);
+    sram_bits = Resources.geometry_bits ~slots ?sketch geometry;
   }
 
 let assoc_sim ~ways ~slots =
@@ -150,14 +128,14 @@ let assoc_sim ~ways ~slots =
 (* [None] when the organization does not fit in [slots] lines (a
    4-way table needs at least 4). *)
 let geometry ~slots = function
-  | "direct" -> Some (direct_sim ~slots ~tinylfu:false)
-  | "direct+tinylfu" -> Some (direct_sim ~slots ~tinylfu:true)
+  | "direct" -> Some (table_sim ~ways:1 ~slots ~tinylfu:false)
+  | "direct+tinylfu" -> Some (table_sim ~ways:1 ~slots ~tinylfu:true)
   | "dleft2" ->
-      if slots < 2 then None else Some (dleft_sim ~d:2 ~slots ~tinylfu:false)
+      if slots < 2 then None else Some (table_sim ~ways:2 ~slots ~tinylfu:false)
   | "dleft4" ->
-      if slots < 4 then None else Some (dleft_sim ~d:4 ~slots ~tinylfu:false)
+      if slots < 4 then None else Some (table_sim ~ways:4 ~slots ~tinylfu:false)
   | "dleft4+tinylfu" ->
-      if slots < 4 then None else Some (dleft_sim ~d:4 ~slots ~tinylfu:true)
+      if slots < 4 then None else Some (table_sim ~ways:4 ~slots ~tinylfu:true)
   | "2way-lru" -> if slots < 2 then None else Some (assoc_sim ~ways:2 ~slots)
   | "4way-lru" -> if slots < 4 then None else Some (assoc_sim ~ways:4 ~slots)
   | name -> invalid_arg ("Cache_geometry: unknown geometry " ^ name)

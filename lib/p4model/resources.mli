@@ -76,7 +76,7 @@ type geometry = G_direct | G_dleft of int | G_assoc of int
 type sketch = { rows : int; width : int }
 
 (** [sketch_of_slots slots] — the default sketch
-    [Switchv2p.Tinylfu.create] builds for a [slots]-line backing:
+    [Switchv2p.Tinylfu.create] builds for a [slots]-line cache:
     4 rows of the next power of two >= [max 16 (4 * slots)]. *)
 val sketch_of_slots : int -> sketch
 

@@ -26,7 +26,7 @@ let colliding_pair cache =
   let rec find v =
     if v > 100_000 then Alcotest.fail "no collision found"
     else begin
-      let c = Cache.create ~slots:Cache.(slots cache) in
+      let c = Cache.create ~slots:Cache.(slots cache) () in
       ignore (Cache.insert c ~admission:`All (vip 0) (pip 100));
       match Cache.insert c ~admission:`All (vip v) (pip 200) with
       | Cache.Inserted (Some (e, _)) when Vip.to_int e = 0 -> v
@@ -36,7 +36,7 @@ let colliding_pair cache =
   find 1
 
 let test_lookup_after_insert () =
-  let c = Cache.create ~slots:64 in
+  let c = Cache.create ~slots:64 () in
   (match Cache.insert c ~admission:`All (vip 1) (pip 10) with
   | Cache.Inserted None -> ()
   | _ -> Alcotest.fail "expected clean insert");
@@ -46,7 +46,7 @@ let test_lookup_after_insert () =
   checkb "fresh entry bit clear" false (Cache.hit_bit r)
 
 let test_access_bit_set_on_hit () =
-  let c = Cache.create ~slots:64 in
+  let c = Cache.create ~slots:64 () in
   ignore (Cache.insert c ~admission:`All (vip 1) (pip 10));
   checkb "bit starts clear" false (Option.get (Cache.access_bit c (vip 1)));
   ignore (Cache.lookup c (vip 1));
@@ -56,7 +56,7 @@ let test_access_bit_set_on_hit () =
   checkb "second hit sees bit" true (Cache.hit_bit r)
 
 let test_conflict_miss_clears_bit () =
-  let c = Cache.create ~slots:8 in
+  let c = Cache.create ~slots:8 () in
   let v2 = colliding_pair c in
   ignore (Cache.insert c ~admission:`All (vip 0) (pip 10));
   ignore (Cache.lookup c (vip 0));
@@ -66,7 +66,7 @@ let test_conflict_miss_clears_bit () =
   checkb "occupant bit cleared" false (Option.get (Cache.access_bit c (vip 0)))
 
 let test_admission_all_evicts () =
-  let c = Cache.create ~slots:8 in
+  let c = Cache.create ~slots:8 () in
   let v2 = colliding_pair c in
   ignore (Cache.insert c ~admission:`All (vip 0) (pip 10));
   ignore (Cache.lookup c (vip 0));
@@ -80,7 +80,7 @@ let test_admission_all_evicts () =
   checkb "new present" true (Cache.peek c (vip v2) <> None)
 
 let test_admission_conservative_respects_bit () =
-  let c = Cache.create ~slots:8 in
+  let c = Cache.create ~slots:8 () in
   let v2 = colliding_pair c in
   ignore (Cache.insert c ~admission:`All (vip 0) (pip 10));
   ignore (Cache.lookup c (vip 0));
@@ -96,7 +96,7 @@ let test_admission_conservative_respects_bit () =
   checkb "replaced" true (Cache.peek c (vip v2) <> None)
 
 let test_update_in_place () =
-  let c = Cache.create ~slots:8 in
+  let c = Cache.create ~slots:8 () in
   ignore (Cache.insert c ~admission:`All (vip 1) (pip 10));
   (match Cache.insert c ~admission:`All (vip 1) (pip 99) with
   | Cache.Updated -> ()
@@ -105,7 +105,7 @@ let test_update_in_place () =
   checki "occupancy still 1" 1 (Cache.occupancy c)
 
 let test_invalidate_matching_only () =
-  let c = Cache.create ~slots:8 in
+  let c = Cache.create ~slots:8 () in
   ignore (Cache.insert c ~admission:`All (vip 1) (pip 10));
   checkb "wrong stale is a no-op" false (Cache.invalidate c (vip 1) ~stale:(pip 11));
   checkb "entry survives" true (Cache.peek c (vip 1) <> None);
@@ -114,7 +114,7 @@ let test_invalidate_matching_only () =
   checki "occupancy zero" 0 (Cache.occupancy c)
 
 let test_zero_slot_cache () =
-  let c = Cache.create ~slots:0 in
+  let c = Cache.create ~slots:0 () in
   checkb "lookup misses" true (Cache.lookup c (vip 1) = Cache.miss);
   (match Cache.insert c ~admission:`All (vip 1) (pip 1) with
   | Cache.Rejected -> ()
@@ -124,10 +124,10 @@ let test_zero_slot_cache () =
 
 let test_negative_slots_rejected () =
   Alcotest.check_raises "negative" (Invalid_argument "Cache.create: negative slots")
-    (fun () -> ignore (Cache.create ~slots:(-1)))
+    (fun () -> ignore (Cache.create ~slots:(-1) ()))
 
 let test_clear () =
-  let c = Cache.create ~slots:16 in
+  let c = Cache.create ~slots:16 () in
   ignore (Cache.insert c ~admission:`All (vip 1) (pip 10));
   ignore (Cache.insert c ~admission:`All (vip 2) (pip 20));
   ignore (Cache.lookup c (vip 1));
@@ -140,7 +140,7 @@ let test_clear () =
   checkb "usable after clear" true (Cache.peek c (vip 3) <> None)
 
 let test_stats_counters () =
-  let c = Cache.create ~slots:16 in
+  let c = Cache.create ~slots:16 () in
   ignore (Cache.lookup c (vip 1));
   ignore (Cache.insert c ~admission:`All (vip 1) (pip 1));
   ignore (Cache.lookup c (vip 1));
@@ -157,7 +157,7 @@ let cache_model_qcheck =
     (list (pair (int_bound 200) (int_bound 1000)))
     (fun ops ->
       let slots = 16 in
-      let c = Cache.create ~slots in
+      let c = Cache.create ~slots () in
       (* Model: slot -> (vip, pip) using the same hash by observation:
          we learn each vip's slot from collisions with a probe. *)
       let model : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
@@ -189,7 +189,7 @@ let occupancy_qcheck =
   Test.make ~name:"occupancy never exceeds slots" ~count:200
     (list (int_bound 10_000))
     (fun vs ->
-      let c = Cache.create ~slots:8 in
+      let c = Cache.create ~slots:8 () in
       List.iter (fun v -> ignore (Cache.insert c ~admission:`All (vip v) (pip v))) vs;
       Cache.occupancy c <= 8)
 
@@ -289,7 +289,7 @@ let assoc_ways1_equiv_direct_qcheck =
     QCheck.(list (pair bool (pair (int_bound 200) (int_bound 1000))))
     (fun ops ->
       let slots = 16 in
-      let dm = Cache.create ~slots in
+      let dm = Cache.create ~slots () in
       let ac = Assoc.create ~ways:1 ~slots in
       List.for_all
         (fun (is_insert, (k, v)) ->

@@ -649,6 +649,23 @@ let test_tor_only_mode () =
           checki "non-tor empty" 0 (Dataplane.slots_of dp ~switch:sw))
     (Topology.switches t)
 
+(* Every geometry hands out the one cache table: on a 4-way d-left
+   config, each switch's cache is a 4-way table holding the switch's
+   whole share, rounded down to a multiple of 4. *)
+let test_dleft_cache_accessor () =
+  let h =
+    harness ~config:(Config.make ~geometry:(Config.Geo_dleft 4) ())
+      ~slots_per_switch:10 ()
+  in
+  Array.iter
+    (fun sw ->
+      let c = Dataplane.cache h.dp ~switch:sw in
+      checki "four ways" 4 (Cache.ways c);
+      checki "slots sum to slots_of" (Dataplane.slots_of h.dp ~switch:sw)
+        (Cache.slots c);
+      checki "share rounded down to a multiple of 4" 8 (Cache.slots c))
+    (Topology.switches h.t)
+
 let () =
   Alcotest.run "dataplane"
     [
@@ -731,6 +748,8 @@ let () =
           Alcotest.test_case "remainder conserved" `Quick
             test_slot_remainder_distribution;
           Alcotest.test_case "ToR-only mode" `Quick test_tor_only_mode;
+          Alcotest.test_case "d-left cache accessor" `Quick
+            test_dleft_cache_accessor;
           QCheck_alcotest.to_alcotest slot_conservation_qcheck;
         ] );
     ]

@@ -205,7 +205,7 @@ let fig5c_with_controller () =
   (* The paper evaluates the Controller on WebSearch only. *)
   Fig5.print
     (Fig5.run ~scale:!scale ~cache_pcts:[ 1; 10; 50; 200 ] ~with_controller:true
-       Fig5.Websearch)
+       Netsim.Scenario.Websearch)
 
 let fig7_8 () = Experiments.Fig7_8.print (Experiments.Fig7_8.run ~scale:!scale ())
 let fig9 () = Experiments.Fig9.print (Experiments.Fig9.run ~scale:!scale ())
@@ -347,13 +347,12 @@ let ev_s_floor () =
   | Some s -> Some (float_of_string s)
   | None -> None
 
-(* One timed domain-sharded run of a single logical simulation
-   (Netsim.Parnet): a 4-pod FatTree under all-to-all cross-pod UDP
-   traffic, Direct scheme, partitioned by pod. [shards = 1] is the
-   same windowed runtime on one domain, so the ratio isolates what the
-   extra domains buy (or cost) rather than comparing against the
-   classic un-windowed loop. Returns (events, events/sec, windows,
-   cross-shard handoffs). *)
+(* One timed run of a single logical simulation (Netsim.Parnet): a
+   4-pod FatTree under all-to-all cross-pod UDP traffic, Direct scheme,
+   partitioned by pod. [shards = 1] is the classic loop (no windows, no
+   mailboxes), so each sharded row's ratio is what the domains and the
+   window protocol together buy (or cost) over it. Returns (events,
+   events/sec, windows, cross-shard handoffs). *)
 let parcore_measure ~shards =
   let module Time_ns = Dessim.Time_ns in
   let module Flow = Netcore.Flow in
@@ -403,8 +402,8 @@ let parcore_measure ~shards =
   in
   (events, float_of_int events /. wall, Netsim.Parnet.windows par, handoffs)
 
-(* Optional CI gate on the 2-shard speedup over the 1-shard windowed
-   baseline (e.g. REPRO_PAR_SPEEDUP_FLOOR=1.3). Off when unset: on a
+(* Optional CI gate on the 2-shard speedup over the 1-shard classic
+   loop (e.g. REPRO_PAR_SPEEDUP_FLOOR=1.3). Off when unset: on a
    single-core machine the extra domains time-slice one CPU and the
    honest ratio is <= 1. *)
 let par_speedup_floor () =
@@ -516,8 +515,8 @@ let eventcore () =
          \  \"sharded\": {\n\
          \    \"workload\": \"512 x 128-packet cross-pod UDP flows, Direct \
           scheme, 4-pod FatTree, pod partition, one logical run\",\n\
-         \    \"baseline\": \"1-shard windowed runtime (same protocol, one \
-          domain)\",\n\
+         \    \"baseline\": \"1 shard: the classic loop (no windows, no \
+          mailboxes)\",\n\
          \    \"runs\": [\n\
           %s\n\
          \    ]\n\
@@ -1120,11 +1119,12 @@ let dst () =
 
 let targets =
   [
-    ("fig5a", ("Figure 5a (Hadoop)", fig5 Fig5.Hadoop));
-    ("fig5b", ("Figure 5b (Microbursts)", fig5 Fig5.Microbursts));
+    ("fig5a", ("Figure 5a (Hadoop)", fig5 Netsim.Scenario.Hadoop));
+    ( "fig5b",
+      ("Figure 5b (Microbursts)", fig5 Netsim.Scenario.Microbursts) );
     ("fig5c", ("Figure 5c (WebSearch + Controller)", fig5c_with_controller));
-    ("fig5d", ("Figure 5d (Video)", fig5 Fig5.Video));
-    ("fig6", ("Figure 6 (Alibaba, FT16)", fig5 Fig5.Alibaba));
+    ("fig5d", ("Figure 5d (Video)", fig5 Netsim.Scenario.Video));
+    ("fig6", ("Figure 6 (Alibaba, FT16)", fig5 Netsim.Scenario.Alibaba));
     ("fig7", ("Figures 7/8 (bandwidth heatmaps)", fig7_8));
     ("fig8", ("Figures 7/8 (bandwidth heatmaps)", fig7_8));
     ("fig9", ("Figure 9 (fewer gateways)", fig9));

@@ -28,7 +28,8 @@ let () =
               { Netsim.Network.default_config with gateways_used = Some k }
             in
             let r =
-              Experiments.Runner.run ~net_config setup ~scheme:(make_scheme ())
+              Experiments.Runner.run ~net_config setup
+                ~make_scheme:(fun ~shard:_ -> make_scheme ())
                 ~flows ~migrations:[] ~until
             in
             Printf.printf "%-10d %-12s %8.1fus %10d %8d\n" k name

@@ -28,7 +28,9 @@ let () =
       List.iter
         (fun (name, scheme) ->
           let r =
-            Experiments.Runner.run setup ~scheme ~flows ~migrations:[] ~until
+            Experiments.Runner.run setup
+              ~make_scheme:(fun ~shard:_ -> scheme)
+              ~flows ~migrations:[] ~until
           in
           Printf.printf "%-14s %8.1f%% %8.1fus %8.1fus %9.2f\n" name
             (100.0 *. r.Experiments.Runner.hit_rate)

@@ -8,7 +8,10 @@ let run ?(scale = `Small) ?(cache_pcts = [ 1; 10; 50; 200 ]) () =
   let topo = setup.Setup.topo in
   let flows = Setup.websearch_trace setup in
   let until = Setup.horizon flows in
-  let exec scheme = Runner.run setup ~scheme ~flows ~migrations:[] ~until in
+  let exec scheme =
+    Runner.run setup ~make_scheme:(fun ~shard:_ -> scheme) ~flows
+      ~migrations:[] ~until
+  in
   let base = exec (Schemes.Baselines.nocache ()) in
   let swept name make =
     ( name,

@@ -3,30 +3,16 @@ type t = { rows : row list }
 
 let run ?(scale = `Small) () =
   let kinds =
-    [
-      Fig5.Hadoop; Fig5.Websearch; Fig5.Alibaba; Fig5.Microbursts; Fig5.Video;
-    ]
+    Netsim.Scenario.[ Hadoop; Websearch; Alibaba; Microbursts; Video ]
   in
   (* No simulation here, but trace generation + analysis of five
      workloads still parallelizes cleanly. *)
   let task kind =
     ( "datasets/" ^ Fig5.trace_name kind,
       fun () ->
-        let spec =
-          match kind with
-          | Fig5.Alibaba -> Setup.spec_ft16 scale
-          | _ -> Setup.spec_ft8 scale
-        in
-        let setup = Setup.pooled spec in
-        let flows =
-          match kind with
-          | Fig5.Hadoop -> Setup.hadoop_trace setup
-          | Fig5.Websearch -> Setup.websearch_trace setup
-          | Fig5.Alibaba -> Setup.alibaba_trace setup
-          | Fig5.Microbursts -> Setup.microbursts_trace setup
-          | Fig5.Video -> Setup.video_trace setup
-        in
-        Workloads.Trace_stats.analyze flows )
+        Workloads.Trace_stats.analyze
+          (Netsim.Scenario.flows
+             (Netsim.Scenario.of_trace ~name:"datasets" scale kind [])) )
   in
   let rows =
     List.map2

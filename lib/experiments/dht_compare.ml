@@ -22,7 +22,11 @@ let run ?(scale = `Small) ?(cache_pct = 50) () =
         max acc (Time_ns.to_ns f.Netcore.Flow.start))
       0 flows
   in
-  let base = Runner.run setup ~scheme:(Schemes.Baselines.nocache ()) ~flows ~migrations:[] ~until in
+  let base =
+    Runner.run setup
+      ~make_scheme:(fun ~shard:_ -> Schemes.Baselines.nocache ())
+      ~flows ~migrations:[] ~until
+  in
   let row (r : Runner.result) =
     {
       scheme = r.Runner.scheme;

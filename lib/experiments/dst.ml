@@ -8,6 +8,7 @@ module Cache = Switchv2p.Cache
 module Topology = Topo.Topology
 module Network = Netsim.Network
 module Metrics = Netsim.Metrics
+module Parnet = Netsim.Parnet
 
 type outcome = {
   seed : int;
@@ -27,6 +28,7 @@ let params =
   Topo.Params.scaled ~pods:2 ~racks_per_pod:2 ~hosts_per_rack:2 ~vms_per_host:2
     ()
 
+let num_vms = Topo.Params.num_vms params
 let total_slots = 64
 let num_flows = 30
 let start_window = Time_ns.of_ms 5
@@ -90,100 +92,30 @@ let gen_flows ~seed ~num_vms =
         ~start:(Rng.int rng start_window)
         Flow.Tcpish)
 
-let check_invariants ?(strict_liveness = true) net flows occupancy =
-  let m = Network.metrics net in
-  let tr = Network.transport net in
+(* The quantities aggregate across the run's networks: a flow's
+   receiver lives on exactly one shard, so transport sums see each flow
+   once, and conservation counts the cross-shard mailboxes (empty at
+   one shard). *)
+let check_invariants ?(strict_liveness = true) par flows occupancies =
+  let m = Parnet.metrics par in
+  let nets = Parnet.nets par in
   let failures = ref [] in
   let fail inv fmt =
     Printf.ksprintf (fun d -> failures := (inv, d) :: !failures) fmt
   in
   (* 1: packet conservation. *)
-  let injected = Network.injected_packets net in
+  let injected = Parnet.injected_packets par in
   let delivered = Metrics.delivered_packets m in
   let dropped = Metrics.packets_dropped m in
-  let consumed = Network.consumed_at_switch net in
-  let live = Network.live_packets net in
-  if injected <> delivered + dropped + consumed + live then
-    fail "packet-conservation"
-      "injected %d <> delivered %d + dropped %d + consumed %d + in-flight %d"
-      injected delivered dropped consumed live;
-  (* 2: no flow ends with a stale delivery count. *)
-  List.iter
-    (fun (f : Flow.t) ->
-      let total = Flow.packet_count f in
-      let got = Netsim.Transport.received_distinct tr ~flow_id:f.Flow.id in
-      let done_ = Netsim.Transport.receiver_done tr ~flow_id:f.Flow.id in
-      if got > total then
-        fail "stale-delivery" "flow %d: %d distinct packets for a %d-packet flow"
-          f.Flow.id got total;
-      if done_ <> (got = total) then
-        fail "stale-delivery" "flow %d: done=%b but %d/%d packets received"
-          f.Flow.id done_ got total)
-    flows;
-  (* 3: liveness — every fault heals before the horizon, so every flow
-     must complete. *)
-  let started = Metrics.flows_started m in
-  let completed = Metrics.flows_completed m in
-  let expected = List.length flows in
-  if started <> expected then
-    fail "liveness" "only %d of %d flows started" started expected;
-  if strict_liveness && completed <> expected then
-    fail "liveness" "%d of %d flows completed by the horizon" completed expected;
-  if Netsim.Transport.flows_completed tr <> completed then
-    fail "liveness" "transport completed %d flows but metrics recorded %d"
-      (Netsim.Transport.flows_completed tr)
-      completed;
-  (* 4: cache occupancy within capacity. *)
-  List.iter (fun d -> fail "cache-occupancy" "%s" d) (occupancy ());
-  List.rev !failures
-
-let transcript_of net ~seed ~scheme ~plan_str =
-  let m = Network.metrics net in
-  let b = Buffer.create 512 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  addf "dst seed=%d scheme=%s\n" seed scheme;
-  addf "plan %s\n" plan_str;
-  addf "engine executed=%d now=%d\n"
-    (Engine.executed (Network.engine net))
-    (Engine.now (Network.engine net));
-  addf "injected=%d delivered=%d dropped=%d consumed=%d live=%d\n"
-    (Network.injected_packets net)
-    (Metrics.delivered_packets m)
-    (Metrics.packets_dropped m)
-    (Network.consumed_at_switch net)
-    (Network.live_packets net);
-  addf "flows started=%d completed=%d retransmits=%d misdelivered=%d\n"
-    (Metrics.flows_started m) (Metrics.flows_completed m)
-    (Metrics.retransmits_sent m)
-    (Metrics.misdelivered_packets m);
-  addf "hit_rate=%h\n" (Metrics.hit_rate m);
-  List.iter (fun (k, v) -> addf "drop site=%s %d\n" k v) (Metrics.drops_by_site m);
-  List.iter (fun (k, v) -> addf "drop kind=%s %d\n" k v) (Metrics.drops_by_kind m);
-  List.iter (fun (k, v) -> addf "fault %s=%d\n" k v) (Network.fault_counts net);
-  Buffer.contents b
-
-(* Sharded variants of the invariants and transcript: the quantities
-   aggregate across the per-shard networks (a flow's receiver lives on
-   exactly one shard, so transport sums see each flow once), and
-   conservation gains the cross-shard mailbox term. *)
-let check_invariants_sharded par flows occupancies =
-  let m = Netsim.Parnet.metrics par in
-  let nets = Netsim.Parnet.nets par in
-  let failures = ref [] in
-  let fail inv fmt =
-    Printf.ksprintf (fun d -> failures := (inv, d) :: !failures) fmt
-  in
-  let injected = Netsim.Parnet.injected_packets par in
-  let delivered = Metrics.delivered_packets m in
-  let dropped = Metrics.packets_dropped m in
-  let consumed = Netsim.Parnet.consumed_at_switch par in
-  let live = Netsim.Parnet.live_packets par in
-  let in_hand = Netsim.Parnet.handoffs_in_flight par in
+  let consumed = Parnet.consumed_at_switch par in
+  let live = Parnet.live_packets par in
+  let in_hand = Parnet.handoffs_in_flight par in
   if injected <> delivered + dropped + consumed + live + in_hand then
     fail "packet-conservation"
       "injected %d <> delivered %d + dropped %d + consumed %d + in-flight %d \
        + handoffs %d"
       injected delivered dropped consumed live in_hand;
+  (* 2: no flow ends with a stale delivery count. *)
   List.iter
     (fun (f : Flow.t) ->
       let total = Flow.packet_count f in
@@ -209,30 +141,37 @@ let check_invariants_sharded par flows occupancies =
         fail "stale-delivery" "flow %d: done=%b but %d/%d packets received"
           f.Flow.id done_ got total)
     flows;
+  (* 3: liveness — every fault heals before the horizon, so every flow
+     must complete. *)
   let started = Metrics.flows_started m in
   let completed = Metrics.flows_completed m in
   let expected = List.length flows in
   if started <> expected then
     fail "liveness" "only %d of %d flows started" started expected;
-  if completed <> expected then
+  if strict_liveness && completed <> expected then
     fail "liveness" "%d of %d flows completed by the horizon" completed expected;
-  if Netsim.Parnet.transport_flows_completed par <> completed then
+  if Parnet.transport_flows_completed par <> completed then
     fail "liveness" "transport completed %d flows but metrics recorded %d"
-      (Netsim.Parnet.transport_flows_completed par)
+      (Parnet.transport_flows_completed par)
       completed;
+  (* 4: cache occupancy within capacity. *)
   List.iter
-    (fun occupancy -> List.iter (fun d -> fail "cache-occupancy" "%s" d) (occupancy ()))
+    (fun occupancy ->
+      List.iter (fun d -> fail "cache-occupancy" "%s" d) (occupancy ()))
     occupancies;
   List.rev !failures
 
-let transcript_of_sharded par ~seed ~scheme ~plan_str =
-  let m = Netsim.Parnet.metrics par in
-  let nets = Netsim.Parnet.nets par in
+(* Shard count, windows and mailbox contents appear only in a sharded
+   transcript, so a one-shard transcript reads as the classic loop's. *)
+let transcript_of par ~seed ~scheme ~plan_str =
+  let m = Parnet.metrics par in
+  let nets = Parnet.nets par in
+  let sharded = Parnet.shards par > 1 in
   let b = Buffer.create 512 in
   let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  addf "dst seed=%d scheme=%s shards=%d\n" seed scheme
-    (Netsim.Parnet.shards par);
-  addf "plan %s\n" plan_str;
+  addf "dst seed=%d scheme=%s" seed scheme;
+  if sharded then addf " shards=%d" (Parnet.shards par);
+  addf "\nplan %s\n" plan_str;
   let executed =
     Array.fold_left
       (fun acc net -> acc + Engine.executed (Network.engine net))
@@ -243,66 +182,54 @@ let transcript_of_sharded par ~seed ~scheme ~plan_str =
       (fun acc net -> max acc (Engine.now (Network.engine net)))
       0 nets
   in
-  addf "engine executed=%d now=%d windows=%d\n" executed now
-    (Netsim.Parnet.windows par);
-  addf "injected=%d delivered=%d dropped=%d consumed=%d live=%d handoffs=%d\n"
-    (Netsim.Parnet.injected_packets par)
+  addf "engine executed=%d now=%d" executed now;
+  if sharded then addf " windows=%d" (Parnet.windows par);
+  addf "\ninjected=%d delivered=%d dropped=%d consumed=%d live=%d"
+    (Parnet.injected_packets par)
     (Metrics.delivered_packets m)
     (Metrics.packets_dropped m)
-    (Netsim.Parnet.consumed_at_switch par)
-    (Netsim.Parnet.live_packets par)
-    (Netsim.Parnet.handoffs_in_flight par);
-  addf "flows started=%d completed=%d retransmits=%d misdelivered=%d\n"
+    (Parnet.consumed_at_switch par)
+    (Parnet.live_packets par);
+  if sharded then addf " handoffs=%d" (Parnet.handoffs_in_flight par);
+  addf "\nflows started=%d completed=%d retransmits=%d misdelivered=%d\n"
     (Metrics.flows_started m) (Metrics.flows_completed m)
     (Metrics.retransmits_sent m)
     (Metrics.misdelivered_packets m);
   addf "hit_rate=%h\n" (Metrics.hit_rate m);
   List.iter (fun (k, v) -> addf "drop site=%s %d\n" k v) (Metrics.drops_by_site m);
   List.iter (fun (k, v) -> addf "drop kind=%s %d\n" k v) (Metrics.drops_by_kind m);
-  List.iter (fun (k, v) -> addf "fault %s=%d\n" k v) (Netsim.Parnet.fault_counts par);
+  List.iter (fun (k, v) -> addf "fault %s=%d\n" k v) (Parnet.fault_counts par);
   Buffer.contents b
+
+(* One run of [scheme] under [plan]: every shard gets its own scheme
+   and occupancy auditor. *)
+let run_plan ~shards ~seed ~scheme topo plan flows =
+  let config = { Network.default_config with Network.seed } in
+  let occupancies = ref [] in
+  let make_scheme ~shard:_ =
+    let s, occ = scheme_with_occupancy scheme topo in
+    occupancies := occ :: !occupancies;
+    s
+  in
+  let par =
+    Parnet.run ~config ~faults:plan ~shards topo ~make_scheme ~flows
+      ~migrations:[] ~until:run_until
+  in
+  (par, !occupancies)
 
 let run_one ?(shards = 1) ~seed ~scheme () =
   let topo = Topology.build params in
   let plan = Netsim.Faultplan.generate ~seed ~horizon:fault_horizon topo in
-  let plan_str = Fault.to_string plan in
-  let config = { Network.default_config with Network.seed } in
-  let num_vms =
-    Array.length (Topology.hosts topo) * params.Topo.Params.vms_per_host
-  in
   let flows = gen_flows ~seed ~num_vms in
-  if shards <= 1 then begin
-    let s, occupancy = scheme_with_occupancy scheme topo in
-    let net = Network.create ~config topo ~scheme:s in
-    Netsim.Faultplan.apply net plan;
-    Network.run net flows ~migrations:[] ~until:run_until;
-    {
-      seed;
-      scheme;
-      plan = plan_str;
-      transcript = transcript_of net ~seed ~scheme ~plan_str;
-      failures = check_invariants net flows occupancy;
-    }
-  end
-  else begin
-    let occupancies = ref [] in
-    let make_scheme ~shard:_ =
-      let s, occ = scheme_with_occupancy scheme topo in
-      occupancies := occ :: !occupancies;
-      s
-    in
-    let par =
-      Netsim.Parnet.run ~config ~faults:plan ~shards topo ~make_scheme ~flows
-        ~migrations:[] ~until:run_until
-    in
-    {
-      seed;
-      scheme;
-      plan = plan_str;
-      transcript = transcript_of_sharded par ~seed ~scheme ~plan_str;
-      failures = check_invariants_sharded par flows !occupancies;
-    }
-  end
+  let par, occupancies = run_plan ~shards ~seed ~scheme topo plan flows in
+  let plan_str = Fault.to_string plan in
+  {
+    seed;
+    scheme;
+    plan = plan_str;
+    transcript = transcript_of par ~seed ~scheme ~plan_str;
+    failures = check_invariants par flows occupancies;
+  }
 
 (* --- churn DST: container-overlay churn episodes --- *)
 
@@ -325,7 +252,6 @@ let churn_episode ~seed =
     ~batch ()
 
 let run_churn ?(scheme = "switchv2p") ~seed () =
-  let topo = Topology.build params in
   let episode = churn_episode ~seed in
   let plan =
     {
@@ -333,23 +259,20 @@ let run_churn ?(scheme = "switchv2p") ~seed () =
       specs = Fault.sort_specs (Array.of_list (Churn.churn_specs episode));
     }
   in
-  let plan_str = Fault.to_string plan in
-  let config = { Network.default_config with Network.seed } in
-  let num_vms =
-    Array.length (Topology.hosts topo) * params.Topo.Params.vms_per_host
-  in
   let flows = gen_flows ~seed ~num_vms in
-  let s, occupancy = scheme_with_occupancy scheme topo in
-  let net = Network.create ~config topo ~scheme:s in
-  Network.install_faults net plan;
-  Network.run net flows ~migrations:[] ~until:run_until;
+  let par, occupancies =
+    run_plan ~shards:1 ~seed ~scheme (Topology.build params) plan flows
+  in
+  let plan_str = Fault.to_string plan in
   (* Churn remaps endpoints mid-flight: conservation, stale-delivery
      and occupancy must hold unconditionally, and every scheduled batch
      must fire, but completion-by-horizon is not promised (a remap can
      leave a tail of retransmissions past the horizon). *)
-  let failures = check_invariants ~strict_liveness:false net flows occupancy in
+  let failures =
+    check_invariants ~strict_liveness:false par flows occupancies
+  in
   let fired =
-    Option.value ~default:0 (List.assoc_opt "churn" (Network.fault_counts net))
+    Option.value ~default:0 (List.assoc_opt "churn" (Parnet.fault_counts par))
   in
   let expected_batches = Churn.num_batches episode in
   let failures =
@@ -363,7 +286,7 @@ let run_churn ?(scheme = "switchv2p") ~seed () =
     else failures
   in
   let transcript =
-    transcript_of net ~seed ~scheme ~plan_str
+    transcript_of par ~seed ~scheme ~plan_str
     ^ Printf.sprintf "churn kind=%s batches=%d mappings=%d\n"
         (Churn.kind_name episode.Churn.kind)
         expected_batches

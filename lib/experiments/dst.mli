@@ -39,13 +39,14 @@ val all_schemes : string list
 val default_schemes : string list
 
 (** [run_one ~seed ~scheme ()] runs [scheme] under the seed's random
-    fault plan and checks the invariants. [shards > 1] executes the
-    same seed as a domain-sharded run ({!Netsim.Parnet}) and checks
-    the same invariants — conservation gains the cross-shard mailbox
-    term, per-flow transport state is read from the flow's home shard.
-    Sharded transcripts are deterministic for a fixed shard count but
-    differ from single-shard transcripts (a different, equally valid,
-    event interleaving). *)
+    fault plan as one {!Netsim.Parnet.run} on [shards] shards (default
+    1, the classic loop) and checks the invariants. Conservation
+    counts the cross-shard mailboxes (empty at one shard); per-flow
+    transport state is read from the flow's home shard. Only a sharded
+    transcript prints [shards=], [windows=] and [handoffs=]. Sharded
+    transcripts are deterministic for a fixed shard count but differ
+    from single-shard transcripts (a different, equally valid, event
+    interleaving). *)
 val run_one : ?shards:int -> seed:int -> scheme:string -> unit -> outcome
 
 (** Churn DST: a {!Workloads.Container_churn} episode (kind, rate and

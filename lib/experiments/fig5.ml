@@ -1,30 +1,23 @@
 module Time_ns = Dessim.Time_ns
 module Spec = Netsim.Scenario
 
-type trace_kind = Hadoop | Microbursts | Websearch | Video | Alibaba
 
 type cell = { hit : float; fct_x : float; fpl_x : float }
 
 type t = {
-  kind : trace_kind;
+  kind : Spec.trace;
   cache_pcts : int list;
   nocache : Runner.result;
   series : (string * cell array) list;
 }
 
-let trace_name = function
+let trace_name : Spec.trace -> string = function
   | Hadoop -> "Hadoop"
   | Microbursts -> "Microbursts"
   | Websearch -> "WebSearch"
   | Video -> "Video"
   | Alibaba -> "Alibaba"
-
-let spec_trace = function
-  | Hadoop -> Spec.Hadoop
-  | Microbursts -> Spec.Microbursts
-  | Websearch -> Spec.Websearch
-  | Video -> Spec.Video
-  | Alibaba -> Spec.Alibaba
+  | Locality -> "Locality"
 
 (* The sweep's shape: one NoCache baseline, then per-scheme series
    that are either swept across cache sizes or cache-independent
@@ -51,7 +44,6 @@ let series_shape ~with_controller =
 
 let scenario ?(scale = `Small) ?(cache_pcts = [ 1; 10; 50; 200; 1500 ])
     ?(with_controller = false) kind =
-  let family = match kind with Alibaba -> `FT16 | _ -> `FT8 in
   let swept name mk =
     List.map
       (fun pct ->
@@ -66,16 +58,13 @@ let scenario ?(scale = `Small) ?(cache_pcts = [ 1; 10; 50; 200; 1500 ])
            | `Swept (name, mk) -> swept name mk)
          (series_shape ~with_controller)
   in
-  Spec.make ~name:(trace_name kind)
-    ~topo:(Spec.preset family scale)
-    ~streams:[ Spec.stream (spec_trace kind) ]
-    schemes
+  Spec.of_trace ~name:(trace_name kind) scale kind schemes
 
 (* UDP traces have no flow-completion semantics comparable to TCP's;
    use mean packet latency as the paper's FCT proxy there. *)
-let fct_metric kind (r : Runner.result) =
+let fct_metric (kind : Spec.trace) (r : Runner.result) =
   match kind with
-  | Hadoop | Websearch | Alibaba -> r.Runner.mean_fct
+  | Hadoop | Websearch | Alibaba | Locality -> r.Runner.mean_fct
   | Microbursts | Video -> r.Runner.mean_pkt_latency
 
 let cell_of kind ~(nocache : Runner.result) (r : Runner.result) =

@@ -5,8 +5,6 @@
     NoCache baseline normalizes the improvement factors, exactly as in
     the paper. *)
 
-type trace_kind = Hadoop | Microbursts | Websearch | Video | Alibaba
-
 type cell = {
   hit : float;  (** fraction of tenant packets that avoid the gateways *)
   fct_x : float;  (** mean-FCT improvement over NoCache *)
@@ -14,7 +12,7 @@ type cell = {
 }
 
 type t = {
-  kind : trace_kind;
+  kind : Netsim.Scenario.trace;
   cache_pcts : int list;
   nocache : Runner.result;
   (* (scheme, per-cache-size cells); cache-independent schemes carry
@@ -31,7 +29,7 @@ val scenario :
   ?scale:Setup.scale ->
   ?cache_pcts:int list ->
   ?with_controller:bool ->
-  trace_kind ->
+  Netsim.Scenario.trace ->
   Netsim.Scenario.t
 
 (** [run ?scale ?cache_pcts ?with_controller kind] executes the sweep.
@@ -41,10 +39,11 @@ val run :
   ?scale:Setup.scale ->
   ?cache_pcts:int list ->
   ?with_controller:bool ->
-  trace_kind ->
+  Netsim.Scenario.trace ->
   t
 
-val trace_name : trace_kind -> string
+(** The display name, e.g. ["WebSearch"]. *)
+val trace_name : Netsim.Scenario.trace -> string
 
 (** [print t] renders one table per metric (hit rate / FCT x / FPL x). *)
 val print : t -> unit

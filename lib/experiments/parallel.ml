@@ -48,11 +48,14 @@ let note_jobs jobs =
    domain count roughly constant. *)
 let shards () =
   match Sys.getenv_opt "REPRO_SHARDS" with
+  | None -> 1
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> 1)
-  | None -> 1
+      | Some n when n >= 1 && n <= Netsim.Parnet.max_shards -> n
+      | Some _ | None ->
+          invalid_arg
+            (Printf.sprintf "REPRO_SHARDS=%S: expected an integer in [1, %d]" s
+               Netsim.Parnet.max_shards))
 
 let default_jobs () =
   let base =

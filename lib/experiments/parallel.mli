@@ -17,9 +17,11 @@
 val default_jobs : unit -> int
 
 (** [shards ()] is the per-run shard count implied by [REPRO_SHARDS]
-    (1 when unset or invalid) — the number of domains one sharded
-    simulation occupies ({!Netsim.Parnet}). {!default_jobs} divides
-    its worker budget by this. *)
+    (1 when unset) — the number of domains one sharded simulation
+    occupies ({!Netsim.Parnet}). {!default_jobs} divides its worker
+    budget by this. Raises [Invalid_argument], naming the variable,
+    when it is set to anything but an integer in
+    [[1, Netsim.Parnet.max_shards]]. *)
 val shards : unit -> int
 
 (** [map ?jobs tasks] runs every [(name, thunk)] task and returns the

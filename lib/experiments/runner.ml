@@ -78,8 +78,8 @@ let results_json (r : result) =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) r.extra) );
     ]
 
-let run ?net_config ?report_name ?faults (setup : Setup.t) ~scheme ~flows
-    ~migrations ~until =
+let run ?net_config ?report_name ?faults ?(shards = 1) (setup : Setup.t)
+    ~make_scheme ~flows ~migrations ~until =
   let tel, net_config =
     match (report_name, Report.telemetry_dir ()) with
     | Some _, Some _ ->
@@ -90,84 +90,26 @@ let run ?net_config ?report_name ?faults (setup : Setup.t) ~scheme ~flows
         (tel, Some { cfg with Netsim.Network.telemetry = tel })
     | _ -> (Telemetry.disabled, net_config)
   in
-  let net = Netsim.Network.create ?config:net_config setup.Setup.topo ~scheme in
-  Option.iter (Netsim.Network.install_faults net) faults;
-  Netsim.Network.run net flows ~migrations ~until;
-  let m = Netsim.Network.metrics net in
-  let topo = setup.Setup.topo in
-  let pods = (Topo.Topology.params topo).Topo.Params.pods in
-  let result =
-    {
-      scheme = scheme.Netsim.Scheme.name;
-      hit_rate = Netsim.Metrics.hit_rate m;
-      mean_fct = Netsim.Metrics.mean_fct m;
-      mean_fpl = Netsim.Metrics.mean_first_packet_latency m;
-      mean_pkt_latency = Netsim.Metrics.mean_packet_latency m;
-      gw_packets = Netsim.Metrics.gateway_packets m;
-      packets_sent = Netsim.Metrics.packets_sent m;
-      packets_dropped = Netsim.Metrics.packets_dropped m;
-      drops_by_kind = Netsim.Metrics.drops_by_kind m;
-      drops_by_site = Netsim.Metrics.drops_by_site m;
-      misdelivered = Netsim.Metrics.misdelivered_packets m;
-      flows_started = Netsim.Metrics.flows_started m;
-      flows_completed = Netsim.Metrics.flows_completed m;
-      stretch = Netsim.Metrics.mean_stretch m;
-      layer_hits = Netsim.Metrics.layer_hits m;
-      fp_layer_hits = Netsim.Metrics.first_packet_layer_hits m;
-      last_misdelivered_arrival = Netsim.Metrics.last_misdelivered_arrival m;
-      reordering_events =
-        Netsim.Transport.reordering_events (Netsim.Network.transport net);
-      extra = scheme.Netsim.Scheme.stats ();
-      class_hit_rates =
-        List.map (fun c -> (c, Netsim.Metrics.class_hit_rate m c))
-          (Netsim.Metrics.classes m);
-      bytes_by_pod =
-        Array.init pods (fun pod -> (pod, Netsim.Metrics.bytes_of_pod m pod));
-      bytes_by_switch =
-        Array.map
-          (fun sw -> (sw, Netsim.Metrics.bytes_of_switch m sw))
-          (Topo.Topology.switches topo);
-    }
-  in
-  (match (report_name, Report.telemetry_dir ()) with
-  | Some name, Some dir when Telemetry.is_enabled tel ->
-      Report.ensure_dir dir;
-      let doc =
-        Telemetry.to_json tel
-          ~manifest:(manifest_of setup ~scheme_name:result.scheme ~until)
-          ~extra:
-            [
-              ("results", results_json result);
-              ("drops_by_kind", counts_json result.drops_by_kind);
-              ("drops_by_site", counts_json result.drops_by_site);
-            ]
-      in
-      Telemetry.write ~path:(Filename.concat dir (Report.slug name ^ ".json")) doc
-  | _ -> ());
-  result
-
-(* Sharded variant: same trace, executed as [shards] lock-step domains
-   over one logical simulation (Netsim.Parnet). Telemetry reports are
-   not supported here; [extra] scheme stats are per-shard and not
-   generically mergeable, so they are omitted. *)
-let run_sharded ?net_config ?faults ~shards (setup : Setup.t) ~make_scheme
-    ~flows ~migrations ~until =
-  let scheme_name = ref "" in
+  let schemes = ref [] in
   let make_scheme ~shard =
     let s = make_scheme ~shard in
-    if shard = 0 then scheme_name := s.Netsim.Scheme.name;
+    schemes := s :: !schemes;
     s
   in
   let par =
     Netsim.Parnet.run ?config:net_config ?faults ~shards setup.Setup.topo
       ~make_scheme ~flows ~migrations ~until
   in
+  (* One scheme instance and one collector describe a one-shard run.
+     Per-shard scheme stats and collectors do not merge, so a sharded
+     run reports neither. *)
+  let lone = match !schemes with [ s ] -> Some s | _ -> None in
   let m = Netsim.Parnet.metrics par in
   let topo = setup.Setup.topo in
   let pods = (Topo.Topology.params topo).Topo.Params.pods in
   let result =
     {
-      scheme = !scheme_name;
+      scheme = (List.hd !schemes).Netsim.Scheme.name;
       hit_rate = Netsim.Metrics.hit_rate m;
       mean_fct = Netsim.Metrics.mean_fct m;
       mean_fpl = Netsim.Metrics.mean_first_packet_latency m;
@@ -185,7 +127,8 @@ let run_sharded ?net_config ?faults ~shards (setup : Setup.t) ~make_scheme
       fp_layer_hits = Netsim.Metrics.first_packet_layer_hits m;
       last_misdelivered_arrival = Netsim.Metrics.last_misdelivered_arrival m;
       reordering_events = Netsim.Parnet.reordering_events par;
-      extra = [];
+      extra =
+        (match lone with Some s -> s.Netsim.Scheme.stats () | None -> []);
       class_hit_rates =
         List.map (fun c -> (c, Netsim.Metrics.class_hit_rate m c))
           (Netsim.Metrics.classes m);
@@ -197,7 +140,22 @@ let run_sharded ?net_config ?faults ~shards (setup : Setup.t) ~make_scheme
           (Topo.Topology.switches topo);
     }
   in
-  (par, result)
+  (match (lone, report_name, Report.telemetry_dir ()) with
+  | Some _, Some name, Some dir when Telemetry.is_enabled tel ->
+      Report.ensure_dir dir;
+      let doc =
+        Telemetry.to_json tel
+          ~manifest:(manifest_of setup ~scheme_name:result.scheme ~until)
+          ~extra:
+            [
+              ("results", results_json result);
+              ("drops_by_kind", counts_json result.drops_by_kind);
+              ("drops_by_site", counts_json result.drops_by_site);
+            ]
+      in
+      Telemetry.write ~path:(Filename.concat dir (Report.slug name ^ ".json")) doc
+  | _ -> ());
+  result
 
 let improvement ~baseline ~v =
   if baseline <= 0.0 || v <= 0.0 then 1.0 else baseline /. v

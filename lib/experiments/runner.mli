@@ -31,47 +31,35 @@ type result = {
   bytes_by_switch : (int * int) array;  (** (switch node id, bytes) *)
 }
 
-(** [run ?net_config ?report_name ?faults setup ~scheme ~flows
-    ~migrations ~until] builds a fresh network and executes the trace.
+(** [run ?net_config ?report_name ?faults ?shards setup ~make_scheme
+    ~flows ~migrations ~until] executes the trace as one
+    {!Netsim.Parnet.run} on [shards] shards (default 1, the classic
+    loop). [make_scheme ~shard] must build a fresh scheme per call.
     [faults] is installed with {!Netsim.Network.install_faults} before
     the run, so any experiment can execute under a declarative fault
-    plan. When
+    plan.
+
+    At one shard, [extra] holds the scheme's own counters, and when
     [report_name] is given {e and} a telemetry directory is set (see
     {!Report.set_telemetry_dir}), the run is instrumented with a fresh
     {!Dessim.Telemetry} collector and the full report — manifest,
     histograms, per-tier cache series, drops by kind and site — is
     written to [<dir>/<slug report_name>.json]. Without both, no
     collector is created and the run is unobserved (and
-    bit-identical). *)
+    bit-identical). At more shards, [extra] is empty and no report is
+    written: per-shard scheme stats and collectors do not merge. Pick
+    [shards] from [REPRO_SHARDS] via {!Parallel.shards}. *)
 val run :
   ?net_config:Netsim.Network.config ->
   ?report_name:string ->
   ?faults:Dessim.Fault.plan ->
-  Setup.t ->
-  scheme:Netsim.Scheme.t ->
-  flows:Netcore.Flow.t list ->
-  migrations:Netsim.Network.migration list ->
-  until:Dessim.Time_ns.t ->
-  result
-
-(** [run_sharded ~shards setup ~make_scheme ...] executes the same
-    kind of trace as {!run} but as one domain-sharded simulation
-    ({!Netsim.Parnet}); [make_scheme ~shard] must build a fresh scheme
-    per shard. Returns the Parnet handle (per-shard inspection,
-    window/handoff counters) alongside the result row. Telemetry
-    reports are not supported; the result's [extra] scheme stats are
-    empty (per-shard stats are not generically mergeable). Pick
-    [shards] from [REPRO_SHARDS] via {!Parallel.shards}. *)
-val run_sharded :
-  ?net_config:Netsim.Network.config ->
-  ?faults:Dessim.Fault.plan ->
-  shards:int ->
+  ?shards:int ->
   Setup.t ->
   make_scheme:(shard:int -> Netsim.Scheme.t) ->
   flows:Netcore.Flow.t list ->
   migrations:Netsim.Network.migration list ->
   until:Dessim.Time_ns.t ->
-  Netsim.Parnet.t * result
+  result
 
 (** [improvement ~baseline ~v] is [baseline /. v] guarded against
     division by zero (returns 1.0 when either side is degenerate) —

@@ -1,5 +1,5 @@
 (* The run side of scenarios-as-data: realize a [Netsim.Scenario.t]
-   against the scheme library and drive [Runner]/[Runner.run_sharded].
+   against the scheme library and drive [Runner.run].
    The data layer (parsing, validation, flows, fault plans) lives in
    [Netsim.Scenario]; this module owns only what needs the scheme
    constructors, which would be a dependency cycle one library down. *)
@@ -55,26 +55,19 @@ let build_scheme (spec : Spec.t) (setup : Setup.t) (s : Spec.scheme_spec) =
 
 let label = Spec.scheme_label
 
-let shards_of (spec : Spec.t) =
-  match spec.Spec.shards with
-  | Spec.Shards_auto -> Parallel.shards ()
-  | Spec.Shards n -> n
-
 let run_scheme ?report_name (spec : Spec.t) (s : Spec.scheme_spec) =
   let setup = realize spec in
   let flows = Spec.flows spec in
   let until = Spec.horizon spec ~flows in
-  let faults = Spec.fault_plan spec setup.Setup.topo ~until in
-  let net_config = Spec.net_config spec in
-  let shards = shards_of spec in
-  if shards <= 1 then
-    Runner.run ?report_name ~net_config ?faults setup
-      ~scheme:(build_scheme spec setup s) ~flows ~migrations:[] ~until
-  else
-    snd
-      (Runner.run_sharded ~net_config ?faults ~shards setup
-         ~make_scheme:(fun ~shard:_ -> build_scheme spec setup s)
-         ~flows ~migrations:[] ~until)
+  Runner.run ?report_name ~net_config:(Spec.net_config spec)
+    ?faults:(Spec.fault_plan spec setup.Setup.topo ~until)
+    ~shards:
+      (match spec.Spec.shards with
+      | Spec.Shards_auto -> Parallel.shards ()
+      | Spec.Shards n -> n)
+    setup
+    ~make_scheme:(fun ~shard:_ -> build_scheme spec setup s)
+    ~flows ~migrations:[] ~until
 
 let task_name (spec : Spec.t) s = spec.Spec.name ^ "/" ^ label spec s
 

@@ -4,8 +4,7 @@
     validation, flow/fault realization); this module closes the loop
     with the scheme library: it turns a spec's {!Netsim.Scenario.scheme_spec}
     alternatives into {!Netsim.Scheme.t} values and drives
-    {!Runner.run} (or {!Runner.run_sharded}, when the spec asks for
-    more than one shard).
+    {!Runner.run} on the spec's shard count.
 
     A spec's [schemes] list is a sweep axis: {!tasks} yields one named
     thunk per scheme over the shared topology/workload, at exactly the
@@ -30,14 +29,11 @@ val label : Netsim.Scenario.t -> Netsim.Scenario.scheme_spec -> string
     name. *)
 val task_name : Netsim.Scenario.t -> Netsim.Scenario.scheme_spec -> string
 
-(** The spec's shard count, with [Shards_auto] resolved via
-    {!Parallel.shards} ([REPRO_SHARDS]). *)
-val shards_of : Netsim.Scenario.t -> int
-
 (** [run_scheme ?report_name spec s] — one scheme alternative, end to
     end: realize topology and flows, resolve the horizon, install the
-    fault plan (with any container-churn episode compiled in), run
-    unsharded or sharded per the spec. *)
+    fault plan (with any container-churn episode compiled in), run on
+    the spec's shard count ([Shards_auto] reads [REPRO_SHARDS] through
+    {!Parallel.shards}). *)
 val run_scheme :
   ?report_name:string ->
   Netsim.Scenario.t ->

@@ -26,8 +26,6 @@ let wrap params seed =
 let ft8 ?(seed = 42) scale = wrap (Netsim.Scenario.preset_params `FT8 scale) seed
 let ft16 ?(seed = 42) scale = wrap (Netsim.Scenario.preset_params `FT16 scale) seed
 
-let custom params ~seed = wrap params seed
-
 let cache_slots t ~pct =
   if pct < 0 then invalid_arg "Setup.cache_slots: negative percentage";
   t.num_vms * pct / 100
@@ -52,18 +50,6 @@ let alibaba_trace ?(rpcs_per_vm = 4.0) t =
     ~num_rpcs:(int_of_float (rpcs_per_vm *. float_of_int t.num_vms))
     ~load ~agg_bps:t.agg_bps
 
-let microbursts_trace ?(flows_per_vm = 8.0) t =
-  let rng = Rng.create t.seed in
-  Workloads.Tracegen.microbursts rng ~num_vms:t.num_vms
-    ~num_flows:(int_of_float (flows_per_vm *. float_of_int t.num_vms))
-    ~horizon:(Time_ns.of_ms 2)
-
-let video_trace ?(senders = 64) t =
-  let rng = Rng.create t.seed in
-  let senders = min senders (t.num_vms / 2) in
-  Workloads.Tracegen.video rng ~num_vms:t.num_vms ~senders
-    ~duration:(Time_ns.of_ms 5)
-
 let horizon flows =
   let last =
     List.fold_left
@@ -76,15 +62,12 @@ type family = [ `FT8 | `FT16 | `Custom of Topo.Params.t ]
 type spec = { family : family; scale : scale; seed : int }
 
 let spec_ft8 ?(seed = 42) scale = { family = `FT8; scale; seed }
-let spec_ft16 ?(seed = 42) scale = { family = `FT16; scale; seed }
-let spec_custom ?(seed = 42) params =
-  { family = `Custom params; scale = `Tiny; seed }
 
 let realize spec =
   match spec.family with
   | `FT8 -> ft8 ~seed:spec.seed spec.scale
   | `FT16 -> ft16 ~seed:spec.seed spec.scale
-  | `Custom params -> custom params ~seed:spec.seed
+  | `Custom params -> wrap params spec.seed
 
 (* One realized setup per (domain, spec): topologies carry per-run
    mutable link state (reset by [Network.create]), so they may be

@@ -22,9 +22,6 @@ val ft8 : ?seed:int -> scale -> t
     [`Paper] here is very large; [`Small] keeps 8 pods. *)
 val ft16 : ?seed:int -> scale -> t
 
-(** [custom params ~seed] wraps an arbitrary topology. *)
-val custom : Topo.Params.t -> seed:int -> t
-
 (** {2 Per-domain topology factory}
 
     Parallel sweeps ({!Parallel.map}) run tasks on several domains, but
@@ -40,11 +37,6 @@ type family = [ `FT8 | `FT16 | `Custom of Topo.Params.t ]
 type spec = { family : family; scale : scale; seed : int }
 
 val spec_ft8 : ?seed:int -> scale -> spec
-val spec_ft16 : ?seed:int -> scale -> spec
-
-(** [spec_custom params] — the [scale] field is irrelevant for custom
-    parameter sets and fixed to [`Tiny]. *)
-val spec_custom : ?seed:int -> Topo.Params.t -> spec
 
 (** [realize spec] builds a fresh setup (never pooled). *)
 val realize : spec -> t
@@ -62,13 +54,13 @@ val load : float
 
 (** Standard traces at a size proportional to the setup's VM count.
     [flows_per_vm] controls the reuse density (the paper's Hadoop has
-    ~10 flows per destination VM). *)
+    ~10 flows per destination VM). Scenario streams
+    ({!Netsim.Scenario.stream}) generate the same flows and cover all
+    six traces. *)
 
 val hadoop_trace : ?flows_per_vm:float -> t -> Netcore.Flow.t list
 val websearch_trace : ?flows_per_vm:float -> t -> Netcore.Flow.t list
 val alibaba_trace : ?rpcs_per_vm:float -> t -> Netcore.Flow.t list
-val microbursts_trace : ?flows_per_vm:float -> t -> Netcore.Flow.t list
-val video_trace : ?senders:int -> t -> Netcore.Flow.t list
 
 (** [horizon flows] — a simulation end time comfortably after the last
     flow start. *)

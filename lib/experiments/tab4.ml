@@ -73,8 +73,9 @@ let run ?(scale = `Small) ?(cache_pct = 50) ?(senders = 64) () =
     ( full_name,
       fun () ->
         let s = Setup.pooled spec in
-        Runner.run ~report_name:full_name s ~scheme:(mk_scheme s) ~flows
-          ~migrations ~until )
+        Runner.run ~report_name:full_name s
+          ~make_scheme:(fun ~shard:_ -> mk_scheme s)
+          ~flows ~migrations ~until )
   in
   let v2p cfg s =
     Schemes.Switchv2p_scheme.make ~config:cfg s.Setup.topo

@@ -11,34 +11,19 @@ let dist_of ~core ~spine ~tor =
 
 let run ?(scale = `Small) ?(cache_pct = 50) () =
   let kinds =
-    [
-      Fig5.Hadoop; Fig5.Websearch; Fig5.Alibaba; Fig5.Microbursts; Fig5.Video;
-    ]
+    Netsim.Scenario.[ Hadoop; Websearch; Alibaba; Microbursts; Video ]
   in
   let task kind =
-    let full_name = "tab5/" ^ Fig5.trace_name kind in
-    ( full_name,
+    let name = "tab5/" ^ Fig5.trace_name kind in
+    let spec =
+      Netsim.Scenario.(
+        of_trace ~name scale kind
+          [ scheme (switchv2p (Pct cache_pct)) ])
+    in
+    ( name,
       fun () ->
-        let spec =
-          match kind with
-          | Fig5.Alibaba -> Setup.spec_ft16 scale
-          | _ -> Setup.spec_ft8 scale
-        in
-        let setup = Setup.pooled spec in
-        let flows =
-          match kind with
-          | Fig5.Hadoop -> Setup.hadoop_trace setup
-          | Fig5.Websearch -> Setup.websearch_trace setup
-          | Fig5.Alibaba -> Setup.alibaba_trace setup
-          | Fig5.Microbursts -> Setup.microbursts_trace setup
-          | Fig5.Video -> Setup.video_trace setup
-        in
-        let scheme =
-          Schemes.Switchv2p_scheme.make setup.Setup.topo
-            ~total_cache_slots:(Setup.cache_slots setup ~pct:cache_pct)
-        in
-        Runner.run ~report_name:full_name setup ~scheme ~flows ~migrations:[]
-          ~until:(Setup.horizon flows) )
+        Scenario.run_scheme ~report_name:name spec
+          (List.hd spec.Netsim.Scenario.schemes) )
   in
   let rows =
     List.map2

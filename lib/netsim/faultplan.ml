@@ -107,5 +107,3 @@ let generate ?(profile = default_profile) ~seed ~horizon topo =
     done
   done;
   { Fault.seed; specs = Fault.sort_specs (Array.of_list (List.rev !specs)) }
-
-let apply net plan = Network.install_faults net plan

@@ -13,12 +13,8 @@ type migration = { at : Time_ns.t; vip : Vip.t; to_host : int }
 
 type config = {
   seed : int;
-  gw_proc_delay : Time_ns.t;
-  host_fwd_delay : Time_ns.t;
   window : int;
-  rto : Time_ns.t;
   gateways_used : int option;
-  loopback_delay : Time_ns.t;
   classify : (Packet.t -> int) option;
   transport_mode : Transport.mode;
   telemetry : Dessim.Telemetry.t;
@@ -27,16 +23,19 @@ type config = {
 let default_config =
   {
     seed = 42;
-    gw_proc_delay = Time_ns.of_us 40;
-    host_fwd_delay = Time_ns.of_us 10;
     window = 64;
-    rto = Time_ns.of_us 500;
     gateways_used = None;
-    loopback_delay = Time_ns.of_us 1;
     classify = None;
     transport_mode = Transport.Windowed;
     telemetry = Dessim.Telemetry.disabled;
   }
+
+(* Fixed processing delays: gateway translation (the paper's 40 us),
+   the old host's handling of a misdelivered packet, and
+   hypervisor-local delivery between co-located VMs. *)
+let gw_proc_delay = Time_ns.of_us 40
+let host_fwd_delay = Time_ns.of_us 10
+let loopback_delay = Time_ns.of_us 1
 
 (* --- typed events ------------------------------------------------------
 
@@ -484,7 +483,7 @@ let rec arrive t ~node ~from (pkt : Packet.t) =
       drop_faulted t ~site:Metrics.Fault_gateway pkt
     else begin
       Metrics.gateway_arrival t.metrics pkt;
-      Engine.schedule_event_after t.engine ~delay:t.cfg.gw_proc_delay
+      Engine.schedule_event_after t.engine ~delay:gw_proc_delay
         ~code:ev_gateway ~a:node ~b:pkt.Packet.pool_slot
     end
   end
@@ -529,7 +528,7 @@ and host_receive t ~node (pkt : Packet.t) =
           | Scheme.Reforward_to_gateway -> act_reforward
           | Scheme.Follow_me -> act_follow_me
         in
-        Engine.schedule_event_after t.engine ~delay:t.cfg.host_fwd_delay
+        Engine.schedule_event_after t.engine ~delay:host_fwd_delay
           ~code:ev_host_fwd
           ~a:((action lsl node_bits) lor node)
           ~b:pkt.Packet.pool_slot
@@ -709,7 +708,7 @@ let send_tenant_body t ~src_host (pkt : Packet.t) =
     pkt.Packet.resolved <- true;
     pkt.Packet.dst_pip <- Topology.pip t.topo src_host;
     pool_adopt t pkt;
-    Engine.schedule_event_after t.engine ~delay:t.cfg.loopback_delay
+    Engine.schedule_event_after t.engine ~delay:loopback_delay
       ~code:ev_loopback ~a:0 ~b:pkt.Packet.pool_slot
   end
   else begin
@@ -802,7 +801,6 @@ let make_transport t =
         (Time_ns.to_sec latency)
   in
   Transport.create ~mode:t.cfg.transport_mode ~window:t.cfg.window
-    ~rto:t.cfg.rto
     { Transport.now; schedule; send_data; send_ack; flow_done; first_packet }
 
 (* --- construction ----------------------------------------------------- *)

@@ -12,18 +12,17 @@ type migration = {
   to_host : int;  (** destination host node id *)
 }
 
+(** Run settings. The fixed delays are not settable: gateway
+    translation takes 40 us (the paper's figure), an old host handles
+    a misdelivered packet in 10 us, hypervisor-local delivery between
+    co-located VMs takes 1 us, and reliable flows retransmit after
+    {!Transport.create}'s 500 us RTO. *)
 type config = {
   seed : int;
-  gw_proc_delay : Dessim.Time_ns.t;  (** gateway translation latency *)
-  host_fwd_delay : Dessim.Time_ns.t;
-      (** old-host processing of a misdelivered packet *)
   window : int;  (** transport window, packets *)
-  rto : Dessim.Time_ns.t;
   gateways_used : int option;
       (** restrict load balancing to the first [k] gateways (Figure 9);
           [None] uses all *)
-  loopback_delay : Dessim.Time_ns.t;
-      (** hypervisor-local delivery for co-located VM pairs *)
   classify : (Netcore.Packet.t -> int) option;
       (** per-class (e.g. per-tenant) metric counters; see
           {!Metrics.class_hit_rate} *)

@@ -5,7 +5,8 @@ module Shard = Dessim.Shard
 module Flow = Netcore.Flow
 module Topology = Topo.Topology
 
-(* Domain-sharded execution of ONE logical simulation: the node set is
+(* ONE logical simulation on [n] shards. One shard is the classic
+   loop of a single {!Network.t}. At two or more, the node set is
    partitioned across [n] per-domain {!Network.t} instances that
    advance in lock-step conservative windows ({!Dessim.Shard}), handing
    packets across the partition through {!Dessim.Spsc} mailboxes
@@ -26,13 +27,7 @@ module Topology = Topo.Topology
    source order, so an n-shard run replays identically for fixed n
    regardless of wall-clock interleaving. *)
 
-type t = {
-  nets : Network.t array;
-  owner : int array;
-  lookahead : Time_ns.t;
-  windows : int;
-  merged : Metrics.t;
-}
+type t = { nets : Network.t array; windows : int; merged : Metrics.t }
 
 let default_owner topo ~shards node =
   let pod = Topo.Node.pod_of (Topology.kind topo node) in
@@ -42,7 +37,7 @@ let default_owner topo ~shards node =
    whose endpoints live on different shards. Any packet crossing the
    partition is delayed by at least this much, which is what lets the
    window runtime drain mailboxes only at barriers. 1 us when nothing
-   crosses (single shard / degenerate partitions). *)
+   crosses (degenerate partitions). *)
 let compute_lookahead topo owner =
   let m = ref max_int in
   Topology.iter_links topo (fun (l : Topo.Link.t) ->
@@ -52,22 +47,32 @@ let compute_lookahead topo owner =
       end);
   if !m = max_int then Time_ns.of_us 1 else Time_ns.of_ns (max 1 !m)
 
-let run ?config ?faults ?assign ~shards:n topo ~make_scheme ~(flows : Flow.t list)
-    ~(migrations : Network.migration list) ~until =
-  if n <= 0 then invalid_arg "Parnet.run: shards must be positive";
-  let num_nodes = Topology.num_nodes topo in
+(* The most shards one run may use. [Shard.run] spawns [shards - 1]
+   domains and OCaml 5.1 caps a process at 128; 64 leaves the rest for
+   the sweep pool's workers. *)
+let max_shards = 64
+
+(* The windowed runtime, for [n >= 2] shards. *)
+let run_windowed ?config ?faults ?assign ~n topo ~make_scheme
+    ~(flows : Flow.t list) ~(migrations : Network.migration list) ~until =
   let assign =
     match assign with
     | Some f -> f
     | None -> fun node -> default_owner topo ~shards:n node
   in
   let owner =
-    Array.init num_nodes (fun node ->
+    Array.init (Topology.num_nodes topo) (fun node ->
         let s = assign node in
         if s < 0 || s >= n then invalid_arg "Parnet.run: owner out of range";
         s)
   in
   let lookahead = compute_lookahead topo owner in
+  (* Per-shard collectors would not merge, so shards run unobserved. *)
+  let config =
+    Option.map
+      (fun c -> { c with Network.telemetry = Dessim.Telemetry.disabled })
+      config
+  in
   (* Transport homes, fixed from the flows' initial placement. *)
   let params = Topology.params topo in
   let hosts = Topology.hosts topo in
@@ -140,20 +145,37 @@ let run ?config ?faults ?assign ~shards:n topo ~make_scheme ~(flows : Flow.t lis
     done
   in
   let windows = Shard.run ~lookahead ~until ~engines ~drain ~begin_window in
-  let merged =
-    let ms = Array.map Network.metrics nets in
-    Array.fold_left
-      (fun acc m -> match acc with None -> Some m | Some a -> Some (Metrics.merge a m))
-      None ms
-    |> Option.get
+  (nets, windows)
+
+let run ?config ?faults ?assign ~shards topo ~make_scheme ~(flows : Flow.t list)
+    ~(migrations : Network.migration list) ~until =
+  if shards <= 0 || shards > max_shards then
+    invalid_arg
+      (Printf.sprintf "Parnet.run: shards must be in [1, %d], got %d" max_shards
+         shards);
+  let nets, windows =
+    if shards <= 1 then begin
+      (* One shard is the classic loop: no windows, no mailboxes. *)
+      let net = Network.create ?config topo ~scheme:(make_scheme ~shard:0) in
+      Option.iter (Network.install_faults net) faults;
+      Network.run net flows ~migrations ~until;
+      ([| net |], 0)
+    end
+    else
+      run_windowed ?config ?faults ?assign ~n:shards topo ~make_scheme ~flows
+        ~migrations ~until
   in
-  { nets; owner; lookahead; windows; merged }
+  let merged =
+    Array.fold_left
+      (fun acc net -> Metrics.merge acc (Network.metrics net))
+      (Network.metrics nets.(0))
+      (Array.sub nets 1 (shards - 1))
+  in
+  { nets; windows; merged }
 
 let metrics t = t.merged
 let nets t = t.nets
 let shards t = Array.length t.nets
-let owner t node = t.owner.(node)
-let lookahead t = t.lookahead
 let windows t = t.windows
 
 let sum f t = Array.fold_left (fun acc net -> acc + f net) 0 t.nets

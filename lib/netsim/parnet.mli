@@ -1,12 +1,18 @@
-(** Domain-sharded execution of one logical simulation.
+(** One run of one logical simulation, on one or more shards.
 
-    Partitions the topology's nodes across [n] OCaml domains — by pod
-    by default, or via a pluggable [assign] — and runs one
-    {!Network.t} per shard under the conservative-lookahead window
-    protocol of {!Dessim.Shard}. Cross-shard packet hops travel as
-    timestamped records over {!Dessim.Spsc} mailboxes; the lookahead
-    is the minimum cross-shard link propagation delay, so no message
-    can land inside the window that produced it.
+    [shards = 1] is the classic loop: one {!Network.t}, built with the
+    config, given the fault plan and driven by {!Network.run}. It uses
+    no windows and no mailboxes ([windows = 0], [handoffs_in_flight =
+    0]).
+
+    [shards >= 2] is the domain-sharded runtime. It partitions the
+    topology's nodes across that many OCaml domains, by pod by default
+    or via a pluggable [assign], and runs one {!Network.t} per shard
+    under the conservative-lookahead window protocol of
+    {!Dessim.Shard}. Cross-shard packet hops travel as timestamped
+    records over {!Dessim.Spsc} mailboxes; the lookahead is the minimum
+    cross-shard link propagation delay, so no message can land inside
+    the window that produced it.
 
     Deterministic for a fixed shard count: per-shard engines keep
     their (key, seq) dispatch order and mailboxes are drained in fixed
@@ -14,10 +20,17 @@
     regardless of wall-clock interleaving. Different shard counts are
     different (equally valid) interleavings of the same workload.
 
-    Telemetry is not supported in sharded runs (pass a config with
-    telemetry disabled, the default). *)
+    Telemetry is recorded at one shard only: the sharded runtime
+    replaces the config's collector with
+    {!Dessim.Telemetry.disabled}, since per-shard collectors do not
+    merge. *)
 
 type t
+
+(** The largest shard count {!run} accepts (64). The sharded runtime
+    spawns [shards - 1] domains; OCaml 5.1 allows 128 per process, and
+    the rest are left for the experiment sweep pool. *)
+val max_shards : int
 
 (** [run ~shards topo ~make_scheme ~flows ~migrations ~until] builds
     one network per shard ([make_scheme ~shard] must return a fresh
@@ -28,7 +41,10 @@ type t
     [assign] overrides the default pod-based partition (core switches
     round-robin); it must map every node to [0..shards-1].
     [faults] installs the same plan on every shard, partitioned by
-    ownership inside {!Network.install_faults}. *)
+    ownership inside {!Network.install_faults}.
+
+    Raises [Invalid_argument] before building anything when [shards]
+    is outside [1, max_shards]. *)
 val run :
   ?config:Network.config ->
   ?faults:Dessim.Fault.plan ->
@@ -49,11 +65,6 @@ val metrics : t -> Metrics.t
 val nets : t -> Network.t array
 
 val shards : t -> int
-
-(** [owner t node] — the shard owning [node]. *)
-val owner : t -> int -> int
-
-val lookahead : t -> Dessim.Time_ns.t
 
 (** [windows t] — conservative windows executed. *)
 val windows : t -> int

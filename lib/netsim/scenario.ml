@@ -169,6 +169,11 @@ let make ~name ~topo ?(streams = []) ?churn ?(faults = No_faults)
     classify;
   }
 
+let of_trace ?seed ?faults ?gateways_used ~name scale trace schemes =
+  let family = match trace with Alibaba -> `FT16 | _ -> `FT8 in
+  make ~name ~topo:(preset ?seed family scale) ~streams:[ stream trace ] ?faults
+    ?seed ?gateways_used schemes
+
 (* --- names ------------------------------------------------------------- *)
 
 let scale_name = function `Tiny -> "tiny" | `Small -> "small" | `Paper -> "paper"
@@ -214,6 +219,24 @@ let scheme_kind_name = function
   | Bluebird _ -> "bluebird"
   | Controller _ -> "controller"
   | Switchv2p _ -> "switchv2p"
+
+(* The one scheme-name table, read by the parser and by the CLI's
+   flag-built runs. Each thunk is forced only by the kinds that carry
+   its field. *)
+let scheme_kind_of_string ~slots ~interval ~switchv2p = function
+  | "nocache" -> Some Nocache
+  | "direct" -> Some Direct
+  | "ondemand" -> Some Ondemand
+  | "hoverboard" -> Some Hoverboard
+  | "dht" -> Some Dht
+  | "locallearning" -> Some (Locallearning (slots ()))
+  | "gwcache" -> Some (Gwcache (slots ()))
+  | "bluebird" -> Some (Bluebird (slots ()))
+  | "controller" ->
+      let slots = slots () in
+      Some (Controller { slots; interval = interval () })
+  | "switchv2p" -> Some (switchv2p (slots ()))
+  | _ -> None
 
 (* --- printer ----------------------------------------------------------- *)
 
@@ -576,93 +599,85 @@ let parse_scheme ~line rest_of_line =
   | kind_name :: rest -> (
       let f = fields_of ~line rest in
       let slots () = parse_slots ~line (req f "slots") in
-      let kind =
-        match kind_name with
-        | "nocache" -> Nocache
-        | "direct" -> Direct
-        | "ondemand" -> Ondemand
-        | "hoverboard" -> Hoverboard
-        | "dht" -> Dht
-        | "locallearning" -> Locallearning (slots ())
-        | "gwcache" -> Gwcache (slots ())
-        | "bluebird" -> Bluebird (slots ())
-        | "controller" ->
-            let slots = slots () in
-            Controller
-              { slots; interval = Time_ns.of_ns (req_int f "interval_ns") }
-        | "switchv2p" ->
-            let slots = slots () in
-            let d = Switchv2p.Config.default in
-            let allocation =
-              match take f "allocation" with
-              | None | Some "uniform" -> Switchv2p.Config.Uniform
-              | Some "tor_only" -> Switchv2p.Config.Tor_only
-              | Some v -> (
-                  match String.index_opt v ':' with
-                  | Some i when String.sub v 0 i = "weighted" -> (
-                      let ws =
-                        parse_float_list ~line ~field:"allocation"
-                          (String.sub v (i + 1) (String.length v - i - 1))
-                      in
-                      match ws with
-                      | [| tor; spine; core; gw_tor; gw_spine |] ->
-                          Switchv2p.Config.Weighted
-                            { tor; spine; core; gw_tor; gw_spine }
-                      | _ ->
-                          err ~line ~field:"allocation"
-                            "weighted allocation needs 5 weights")
+      let switchv2p slots =
+        let d = Switchv2p.Config.default in
+        let allocation =
+          match take f "allocation" with
+          | None | Some "uniform" -> Switchv2p.Config.Uniform
+          | Some "tor_only" -> Switchv2p.Config.Tor_only
+          | Some v -> (
+              match String.index_opt v ':' with
+              | Some i when String.sub v 0 i = "weighted" -> (
+                  let ws =
+                    parse_float_list ~line ~field:"allocation"
+                      (String.sub v (i + 1) (String.length v - i - 1))
+                  in
+                  match ws with
+                  | [| tor; spine; core; gw_tor; gw_spine |] ->
+                      Switchv2p.Config.Weighted
+                        { tor; spine; core; gw_tor; gw_spine }
                   | _ ->
                       err ~line ~field:"allocation"
-                        "expected uniform|tor_only|weighted:5-floats, got %S" v)
-            in
-            let geometry =
-              match take f "geometry" with
-              | None | Some "direct" -> Switchv2p.Config.Geo_direct
-              | Some v -> (
-                  match String.index_opt v ':' with
-                  | Some i when String.sub v 0 i = "dleft" -> (
-                      match
-                        int_of_string_opt
-                          (String.sub v (i + 1) (String.length v - i - 1))
-                      with
-                      | Some w when w > 0 -> Switchv2p.Config.Geo_dleft w
-                      | Some _ | None ->
-                          err ~line ~field:"geometry"
-                            "d-left ways must be a positive integer, got %S" v)
-                  | _ ->
+                        "weighted allocation needs 5 weights")
+              | _ ->
+                  err ~line ~field:"allocation"
+                    "expected uniform|tor_only|weighted:5-floats, got %S" v)
+        in
+        let geometry =
+          match take f "geometry" with
+          | None | Some "direct" -> Switchv2p.Config.Geo_direct
+          | Some v -> (
+              match String.index_opt v ':' with
+              | Some i when String.sub v 0 i = "dleft" -> (
+                  match
+                    int_of_string_opt
+                      (String.sub v (i + 1) (String.length v - i - 1))
+                  with
+                  | Some w when w > 0 -> Switchv2p.Config.Geo_dleft w
+                  | Some _ | None ->
                       err ~line ~field:"geometry"
-                        "expected direct|dleft:D, got %S" v)
-            in
-            let config =
-              {
-                Switchv2p.Config.p_learn =
-                  take_float f "p_learn" ~default:d.Switchv2p.Config.p_learn;
-                learning_packets =
-                  take_bool f "learning_packets"
-                    ~default:d.Switchv2p.Config.learning_packets;
-                spillover =
-                  take_bool f "spillover" ~default:d.Switchv2p.Config.spillover;
-                promotion =
-                  take_bool f "promotion" ~default:d.Switchv2p.Config.promotion;
-                source_learning =
-                  take_bool f "source_learning"
-                    ~default:d.Switchv2p.Config.source_learning;
-                invalidations =
-                  take_bool f "invalidations"
-                    ~default:d.Switchv2p.Config.invalidations;
-                ts_vector =
-                  take_bool f "ts_vector" ~default:d.Switchv2p.Config.ts_vector;
-                allocation;
-                geometry;
-                tinylfu =
-                  take_bool f "tinylfu" ~default:d.Switchv2p.Config.tinylfu;
-              }
-            in
-            let shares =
-              Option.map (parse_float_list ~line ~field:"shares") (take f "shares")
-            in
-            Switchv2p { slots; config; shares }
-        | k -> err ~line ~field:k "unknown scheme kind %S" k
+                        "d-left ways must be a positive integer, got %S" v)
+              | _ ->
+                  err ~line ~field:"geometry"
+                    "expected direct|dleft:D, got %S" v)
+        in
+        let config =
+          {
+            Switchv2p.Config.p_learn =
+              take_float f "p_learn" ~default:d.Switchv2p.Config.p_learn;
+            learning_packets =
+              take_bool f "learning_packets"
+                ~default:d.Switchv2p.Config.learning_packets;
+            spillover =
+              take_bool f "spillover" ~default:d.Switchv2p.Config.spillover;
+            promotion =
+              take_bool f "promotion" ~default:d.Switchv2p.Config.promotion;
+            source_learning =
+              take_bool f "source_learning"
+                ~default:d.Switchv2p.Config.source_learning;
+            invalidations =
+              take_bool f "invalidations"
+                ~default:d.Switchv2p.Config.invalidations;
+            ts_vector =
+              take_bool f "ts_vector" ~default:d.Switchv2p.Config.ts_vector;
+            allocation;
+            geometry;
+            tinylfu =
+              take_bool f "tinylfu" ~default:d.Switchv2p.Config.tinylfu;
+          }
+        in
+        let shares =
+          Option.map (parse_float_list ~line ~field:"shares") (take f "shares")
+        in
+        Switchv2p { slots; config; shares }
+      in
+      let kind =
+        match
+          scheme_kind_of_string kind_name ~slots ~switchv2p ~interval:(fun () ->
+              Time_ns.of_ns (req_int f "interval_ns"))
+        with
+        | Some k -> k
+        | None -> err ~line ~field:kind_name "unknown scheme kind %S" kind_name
       in
       done_with f;
       { label; kind })
@@ -713,6 +728,7 @@ type positions = {
   mutable p_fault_specs : int list;  (* reversed *)
   mutable p_churn : int;
   mutable p_net : int;
+  mutable p_engine : int;
   mutable p_last : int;
 }
 
@@ -727,6 +743,7 @@ let parse_text src =
       p_fault_specs = [];
       p_churn = 0;
       p_net = 0;
+      p_engine = 0;
       p_last = 1;
     }
   in
@@ -763,7 +780,9 @@ let parse_text src =
             seen_topo := true;
             pos.p_topo <- line;
             t := { !t with topo = parse_topo ~line (toks ()) }
-        | "engine" -> t := parse_engine ~line (toks ()) !t
+        | "engine" ->
+            pos.p_engine <- line;
+            t := parse_engine ~line (toks ()) !t
         | "net" ->
             pos.p_net <- line;
             t := parse_net ~line (toks ()) !t
@@ -965,15 +984,18 @@ let semantic_errors t (pos : positions option) =
       | _ -> ())
     t.schemes;
   (match t.shards with
-  | Shards n when n < 1 ->
-      add (p (at (fun p -> p.p_last)) (Some "shards") "shards must be >= 1")
+  | Shards n when n < 1 || n > Parnet.max_shards ->
+      add
+        (p (at (fun p -> p.p_engine)) (Some "shards") "shards must be in [1, %d]"
+           Parnet.max_shards)
   | _ -> ());
   (match t.horizon with
   | Horizon h when Time_ns.to_ns h <= 0 ->
-      add (p (at (fun p -> p.p_last)) (Some "horizon") "horizon must be positive")
+      add
+        (p (at (fun p -> p.p_engine)) (Some "horizon") "horizon must be positive")
   | _ -> ());
   if t.seed < 0 then
-    add (p (at (fun p -> p.p_last)) (Some "seed") "seed must be non-negative");
+    add (p (at (fun p -> p.p_engine)) (Some "seed") "seed must be non-negative");
   (* Topology-aware checks. *)
   if params_ok then begin
     let topo = Topology.build params in

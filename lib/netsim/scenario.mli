@@ -168,6 +168,20 @@ val make :
   scheme_spec list ->
   t
 
+(** [of_trace ~name scale trace schemes] is one default {!stream} of
+    [trace] on the trace's paper topology: Alibaba on the FT16 preset,
+    every other trace on FT8. [seed] seeds both the topology and the
+    engine. *)
+val of_trace :
+  ?seed:int ->
+  ?faults:faults_arm ->
+  ?gateways_used:int ->
+  name:string ->
+  scale ->
+  trace ->
+  scheme_spec list ->
+  t
+
 (** {2 Names} *)
 
 val scale_name : scale -> string
@@ -177,6 +191,18 @@ val family_of_string : string -> family option
 val trace_name : trace -> string
 val trace_of_string : string -> trace option
 val scheme_kind_name : scheme_kind -> string
+
+(** [scheme_kind_of_string name ~slots ~interval ~switchv2p] is the
+    kind a [scheme] line's first word names, or [None]. The parser and
+    the CLI's flag-built runs share this one name table. [slots] is
+    forced by the cache-bearing kinds, [interval] by [controller], and
+    [switchv2p] builds the [switchv2p] kind from its slots. *)
+val scheme_kind_of_string :
+  slots:(unit -> slots) ->
+  interval:(unit -> Dessim.Time_ns.t) ->
+  switchv2p:(slots -> scheme_kind) ->
+  string ->
+  scheme_kind option
 
 (** {2 Printing and parsing} *)
 
@@ -207,7 +233,8 @@ val validate_file : string -> (t, error list) result
 (** Semantic validation of an in-memory spec (errors as messages,
     no line numbers). Checks: non-empty name and scheme list; params
     validity; stream rates/loads/parities/windows; share vectors vs
-    [classify]; shard/horizon/seed ranges; and — building the
+    [classify]; shard ([1, Parnet.max_shards]), horizon and seed
+    ranges; and — building the
     topology — gateway counts and fault-plan targets (link endpoints
     adjacent, switch/gateway ids well-kinded), mirroring
     {!Network.install_faults}. *)

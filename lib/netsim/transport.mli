@@ -31,7 +31,8 @@ type mode = Windowed | Dctcp
 type t
 
 (** [create ~mode ~window ~rto callbacks] — [window] caps the in-flight
-    packet budget; [rto] is the retransmission timeout. *)
+    packet budget; [rto] is the retransmission timeout (default
+    500 us). *)
 val create :
   ?mode:mode -> ?window:int -> ?rto:Dessim.Time_ns.t -> callbacks -> t
 

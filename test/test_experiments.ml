@@ -20,7 +20,9 @@ let checki = Alcotest.check Alcotest.int
 let series name (t : Fig5.t) = List.assoc name t.Fig5.series
 
 let test_fig5_hadoop_shape () =
-  let t = Fig5.run ~scale:`Tiny ~cache_pcts:[ 10; 400 ] Fig5.Hadoop in
+  let t =
+    Fig5.run ~scale:`Tiny ~cache_pcts:[ 10; 400 ] Netsim.Scenario.Hadoop
+  in
   let v2p = series "SwitchV2P" t in
   let nc_hit = t.Fig5.nocache.Runner.hit_rate in
   checkb "nocache hit rate is zero" true (nc_hit = 0.0);
@@ -37,18 +39,24 @@ let test_fig5_hadoop_shape () =
   checkb "direct is the upper bound" true (d.(1).Fig5.fct_x >= v2p.(1).Fig5.fct_x)
 
 let test_fig5_video_no_reuse () =
-  let t = Fig5.run ~scale:`Tiny ~cache_pcts:[ 400 ] Fig5.Video in
+  let t =
+    Fig5.run ~scale:`Tiny ~cache_pcts:[ 400 ] Netsim.Scenario.Video
+  in
   let v2p = series "SwitchV2P" t in
   (* No destination reuse: first-packet latency cannot improve much. *)
   checkb "no first-packet win without reuse" true (v2p.(0).Fig5.fpl_x < 1.5)
 
 let test_fig5_microbursts_runs () =
-  let t = Fig5.run ~scale:`Tiny ~cache_pcts:[ 100 ] Fig5.Microbursts in
+  let t =
+    Fig5.run ~scale:`Tiny ~cache_pcts:[ 100 ] Netsim.Scenario.Microbursts
+  in
   let v2p = series "SwitchV2P" t in
   checkb "some hits" true (v2p.(0).Fig5.hit > 0.0)
 
 let test_fig6_alibaba_shape () =
-  let t = Fig5.run ~scale:`Tiny ~cache_pcts:[ 200 ] Fig5.Alibaba in
+  let t =
+    Fig5.run ~scale:`Tiny ~cache_pcts:[ 200 ] Netsim.Scenario.Alibaba
+  in
   let v2p = series "SwitchV2P" t in
   (* RPC traffic has strong reuse: high hit rates and real FCT wins. *)
   checkb "high hit rate" true (v2p.(0).Fig5.hit > 0.5);

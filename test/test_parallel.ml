@@ -61,7 +61,9 @@ let sweep jobs =
     ( name,
       fun () ->
         let s = Setup.pooled spec in
-        Runner.run s ~scheme:(mk_scheme s) ~flows ~migrations:[] ~until )
+        Runner.run s
+          ~make_scheme:(fun ~shard:_ -> mk_scheme s)
+          ~flows ~migrations:[] ~until )
   in
   let tasks =
     [

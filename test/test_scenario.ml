@@ -241,6 +241,38 @@ let golden_file_matches_constructor () =
     (Spec.to_string (golden_spec ()))
     (read_file (Filename.concat examples_dir "golden_tiny.scn"))
 
+(* A shard count the runtime cannot spawn is refused where it stands,
+   before any domain starts. *)
+let shard_ceiling_refused () =
+  let golden = read_file (Filename.concat examples_dir "golden_tiny.scn") in
+  let with_shards n =
+    String.concat "\n"
+      (List.map
+         (fun l ->
+           if String.starts_with ~prefix:"engine " l then
+             Printf.sprintf "engine seed=42 shards=%d horizon=auto" n
+           else l)
+         (String.split_on_char '\n' golden))
+  in
+  (match Spec.validate_string (with_shards 200) with
+  | Ok _ -> Alcotest.fail "shards=200 accepted"
+  | Error errs ->
+      Alcotest.(check (list string))
+        "located shard-ceiling error"
+        [ "line 3, field \"shards\": shards must be in [1, 64]" ]
+        (List.map Spec.error_to_string errs));
+  checkb "shards=64 accepted" true
+    (Result.is_ok (Spec.validate_string (with_shards 64)));
+  Alcotest.check_raises "Parnet.run refuses 65 shards"
+    (Invalid_argument "Parnet.run: shards must be in [1, 64], got 65")
+    (fun () ->
+      let spec = golden_spec () in
+      let setup = Scenario.realize spec in
+      ignore
+        (Netsim.Parnet.run ~shards:65 setup.Experiments.Setup.topo
+           ~make_scheme:(fun ~shard:_ -> Schemes.Baselines.nocache ())
+           ~flows:[] ~migrations:[] ~until:1))
+
 (* ------------------------------------------------------------------ *)
 (* Golden replay: running the committed file reproduces the
    programmatic run of the same spec, result-for-result.              *)
@@ -287,6 +319,8 @@ let () =
             examples_validate;
           Alcotest.test_case "golden file matches constructor" `Quick
             golden_file_matches_constructor;
+          Alcotest.test_case "shard ceiling refused" `Quick
+            shard_ceiling_refused;
         ] );
       ( "replay",
         [

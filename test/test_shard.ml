@@ -356,17 +356,37 @@ let diff_with_migrations name () =
   check_same_outcome ~expect_misdelivery:true name net par
 
 (* Fixed shard count => byte-identical replay, including under a DST
-   fault plan (faults, churn, loss channels, reboots). *)
+   fault plan (faults, churn, loss channels, reboots). Two of the
+   transcripts are also pinned in committed files. *)
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let determinism_fixed_shards () =
   List.iter
-    (fun (shards, seed, scheme) ->
+    (fun (shards, seed, scheme, pinned) ->
       let a = Dst.run_one ~shards ~seed ~scheme () in
       let b = Dst.run_one ~shards ~seed ~scheme () in
       Alcotest.check Alcotest.string
         (Printf.sprintf "%s seed %d @%d shards replays byte-identically"
            scheme seed shards)
-        a.Dst.transcript b.Dst.transcript)
-    [ (2, 11, "switchv2p"); (2, 3, "nocache"); (3, 7, "direct") ]
+        a.Dst.transcript b.Dst.transcript;
+      if pinned then begin
+        let file =
+          Printf.sprintf "dst_%dshard_%d_%s.expected" shards seed scheme
+        in
+        Alcotest.check Alcotest.string
+          (Printf.sprintf "%s seed %d @%d shards matches %s" scheme seed shards
+             file)
+          (read_file file) a.Dst.transcript
+      end)
+    [
+      (2, 11, "switchv2p", true);
+      (2, 3, "nocache", false);
+      (3, 7, "direct", true);
+    ]
 
 (* DST smoke at 2 shards: the full invariant suite (conservation with
    the mailbox term, stale delivery, liveness, occupancy) over fault

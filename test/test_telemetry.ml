@@ -230,7 +230,9 @@ let run_once setup ~flows ~slots =
   let scheme =
     Schemes.Switchv2p_scheme.make setup.Setup.topo ~total_cache_slots:slots
   in
-  Runner.run ~report_name:"telemetry/guard" setup ~scheme ~flows ~migrations:[]
+  Runner.run ~report_name:"telemetry/guard" setup
+    ~make_scheme:(fun ~shard:_ -> scheme)
+    ~flows ~migrations:[]
     ~until:(Setup.horizon flows)
 
 let test_telemetry_off_byte_identical () =
